@@ -37,6 +37,7 @@ from .enumerators import (
     updown_polynomial,
 )
 from .errors import (
+    ConfigError,
     DomainError,
     RegistryError,
     ResourceLimitError,
@@ -49,6 +50,7 @@ from .graph import (
     DegreeCensus,
     FibRunGraph,
     bfs_distances,
+    bfs_levels,
     build,
     closed_form_edge_count,
     count_induced_cubes,

@@ -7,9 +7,14 @@ the built-in defaults.  The environment variables are
     RUNCUBE_STREAM_CAP   largest vertex count for streaming censuses
     RUNCUBE_ORDER        default truncation order for series expansions
     RUNCUBE_THREADS      worker threads for the streaming census
+
+and each must hold a nonnegative integer; any other value raises
+ConfigError, which the command line reports as a usage error.
 """
 
 import os
+
+from .errors import ConfigError
 
 DEFAULT_VERTEX_CAP = 2_000_000
 DEFAULT_STREAM_CAP = 50_000_000
@@ -22,9 +27,12 @@ def _env_int(name, fallback):
     if raw is None:
         return fallback
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
-        raise ValueError("%s must be an integer, got %r" % (name, raw))
+        raise ConfigError("%s must be an integer, got %r" % (name, raw)) from None
+    if value < 0:
+        raise ConfigError("%s must be nonnegative, got %d" % (name, value))
+    return value
 
 
 def vertex_cap(override=None):

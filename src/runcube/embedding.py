@@ -16,8 +16,10 @@ checked against brute-force interval counting.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import graph, strings
-from .errors import ValidationError
+from .errors import StructureError, ValidationError
 from .polyseries import RationalGF, Ring
 from .report import Report
 
@@ -85,7 +87,8 @@ def encode(word):
     image = "".join(pieces)
     image = image + "0" * (3 * n + 1 - len(image))
     label = image[: 3 * n - 1]
-    assert strings.is_run_constrained(image)
+    if not strings.is_run_constrained(image):
+        raise StructureError("image %s of %s is not run-constrained" % (image, word))
     return EncodingResult(word, image, label, 3 * n - 1)
 
 
@@ -139,28 +142,32 @@ class DilationResult:
 
 
 def dilation(n, cap=None):
-    """Exact dilation of the encoder on Q_n, by host BFS from every image."""
+    """Exact dilation of the encoder on Q_n, by host BFS from every image.
+
+    The images run through the bit-parallel BFS 64 at a time.  For image v
+    and each bit it lacks, the distance to the image of v | 1 << bit is the
+    level at which that target first shows v's bit.  The worst edge is the
+    first maximum with v ascending, then bit ascending.
+    """
     if n < 1:
         raise ValidationError("n must be positive")
     g = graph.build(3 * n - 1, cap=cap)
-    labels = {}
-    for v in range(1 << n):
-        word = format(v, "0%db" % n)
-        labels[word] = encode(word).label
-    best = 0
-    worst = ("", "")
-    for v in range(1 << n):
-        word = format(v, "0%db" % n)
-        dist = graph.bfs_distances(g, labels[word])
-        for bit in range(n):
-            if v >> bit & 1:
-                continue
-            other = format(v | 1 << bit, "0%db" % n)
-            d = int(dist[g.index_of(labels[other])])
-            if d > best:
-                best = d
-                worst = (word, other)
-    return DilationResult(n, 3 * n - 1, best, worst)
+    words = [format(v, "0%db" % n) for v in range(1 << n)]
+    image = np.array([g.index_of(encode(word).label) for word in words], dtype=np.int64)
+    # dist[v, bit] = host distance from image v to image v | 1 << bit; it
+    # stays -1 where v has the bit, since then the target is v's own image
+    dist = np.full((1 << n, n), -1, dtype=np.int64)
+    bit = np.arange(n)
+    for lo in range(0, 1 << n, graph.BFS_WIDTH):
+        hi = min(lo + graph.BFS_WIDTH, 1 << n)
+        v = np.arange(lo, hi)[:, None]
+        targets = image[v | 1 << bit]
+        own = (v - lo).astype(np.uint64)
+        block = dist[lo:hi]
+        for d, new in enumerate(graph.bfs_levels(g, image[lo:hi]), start=1):
+            block[(new[targets] >> own) & np.uint64(1) == 1] = d
+    v, b = divmod(int(dist.argmax()), n)
+    return DilationResult(n, 3 * n - 1, int(dist[v, b]), (words[v], words[v | 1 << b]))
 
 
 def dilation_check(n_max=4):

@@ -17,6 +17,10 @@ class DomainError(RuncubeError):
     """Argument outside the mathematical domain of an operation."""
 
 
+class ConfigError(RuncubeError):
+    """An environment variable holds a value that is not a valid setting."""
+
+
 class ResourceLimitError(RuncubeError):
     """Requested computation exceeds a configured size cap."""
 

@@ -9,9 +9,16 @@ label + "00").  |V(R_n)| is the Fibonacci number f_{n+2}.
 Vertex labels are kept as sorted int64 bitmasks (most significant bit =
 first character), which lets adjacency and degree scans run as vectorized
 flip-and-binary-search passes instead of pairwise comparisons.
+
+Distances come from one bit-parallel BFS kernel, `bfs_levels`, after
+Then et al., "The More the Merrier: Efficient Multi-Source Graph
+Traversal" (VLDB 2014): up to 64 sources advance together, each vertex
+holding a uint64 word of the sources that have reached it, and each level
+is a single gather and per-row OR over the CSR arrays.  `bfs_distances`,
+`eccentricity`, `diameter`, `radius` and `embedding.dilation` all read
+their answers off its levels.
 """
 
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -153,7 +160,10 @@ def build(n, cap=None):
     np.add.at(indptr, src + 1, 1)
     indptr = np.cumsum(indptr)
     graph = FibRunGraph(n, labels, indptr, dst.astype(np.int64), ups, downs)
-    assert graph.vertex_count == total
+    if graph.vertex_count != total:
+        raise StructureError(
+            "R_%d built with %d vertices, expected %d" % (n, graph.vertex_count, total)
+        )
     return graph
 
 
@@ -253,7 +263,10 @@ def degree_census(n, cap=None, shards=None, threads=None):
         for key, c in part.items():
             counts[key] = counts.get(key, 0) + c
     census = DegreeCensus(n, counts)
-    assert census.vertex_total() == total
+    if census.vertex_total() != total:
+        raise StructureError(
+            "census of R_%d counts %d vertices, expected %d" % (n, census.vertex_total(), total)
+        )
     return census
 
 
@@ -269,46 +282,96 @@ def closed_form_edge_count(n):
     return (3 * n + 4) * fibonacci(n - 6) + (5 * n + 6) * fibonacci(n - 5)
 
 
-def bfs_distances(graph, source):
-    """BFS distance array; raises StructureError if the graph is disconnected.
+BFS_WIDTH = 64
 
-    The source is a vertex index, or a label string resolved via index_of.
-    """
+
+def _source_index(graph, source):
+    """A vertex index, or a label string resolved via index_of, range-checked."""
     if isinstance(source, str):
         source = graph.index_of(source)
     source = int(source)
     if source < 0 or source >= graph.vertex_count:
         raise ValidationError("vertex index %d out of range" % source)
+    return source
+
+
+def bfs_levels(graph, sources):
+    """Bit-parallel BFS from up to 64 sources at once, one level per step.
+
+    Vertex v holds one uint64 word whose bit s is set once sources[s] has
+    reached v.  Each level gathers the frontier words over the CSR arcs and
+    ORs them per row with one reduceat; the bits a vertex did not have
+    before are the next frontier.  Yields, for d = 1, 2, ..., the uint64
+    array of bits newly set at distance d, so the number of levels is the
+    largest eccentricity among the sources.  After the last level, raises
+    StructureError if some source did not reach every vertex.
+    """
+    sources = [_source_index(graph, s) for s in sources]
+    k = len(sources)
+    if not 1 <= k <= BFS_WIDTH:
+        raise ValidationError("bfs_levels takes 1 to %d sources, got %d" % (BFS_WIDTH, k))
     nv = graph.vertex_count
-    dist = np.full(nv, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    seen = 1
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        for w in graph.neighbors(v):
-            if dist[w] < 0:
-                dist[w] = dv + 1
-                seen += 1
-                queue.append(int(w))
-    if seen != nv:
+    bits = np.uint64(1) << np.arange(k, dtype=np.uint64)
+    seen = np.zeros(nv, dtype=np.uint64)
+    np.bitwise_or.at(seen, sources, bits)
+    # reduceat would give a zero-degree row the next row's first arc (and
+    # fail on a trailing one), so only rows with arcs are reduced
+    has_arcs = graph.indptr[1:] > graph.indptr[:-1]
+    starts = graph.indptr[:-1][has_arcs]
+    frontier = seen.copy()
+    while starts.size:
+        reached = np.zeros(nv, dtype=np.uint64)
+        reached[has_arcs] = np.bitwise_or.reduceat(frontier[graph.indices], starts)
+        frontier = reached & ~seen
+        if not frontier.any():
+            break
+        seen |= frontier
+        yield frontier
+    full = np.uint64(2**k - 1)
+    if (seen != full).any():
+        lacking = int(np.bitwise_or.reduce(full & ~seen))
+        s = (lacking & -lacking).bit_length() - 1
+        count = int(((seen >> np.uint64(s)) & np.uint64(1)).sum())
         raise StructureError(
-            "BFS from vertex %d reached %d of %d vertices" % (source, seen, nv)
+            "BFS from vertex %d reached %d of %d vertices" % (sources[s], count, nv)
         )
+
+
+def bfs_distances(graph, source):
+    """BFS distance array; raises StructureError if the graph is disconnected.
+
+    The source is a vertex index, or a label string resolved via index_of.
+    """
+    source = _source_index(graph, source)
+    dist = np.full(graph.vertex_count, -1, dtype=np.int64)
+    dist[source] = 0
+    for d, new in enumerate(bfs_levels(graph, [source]), start=1):
+        dist[new != 0] = d
     return dist
 
 
 def eccentricity(graph, source):
-    return int(bfs_distances(graph, source).max())
+    return sum(1 for _ in bfs_levels(graph, [source]))
+
+
+def _eccentricities(graph):
+    """Eccentricity of every vertex, one bit-parallel BFS per 64 sources."""
+    nv = graph.vertex_count
+    ecc = np.zeros(nv, dtype=np.int64)
+    for lo in range(0, nv, BFS_WIDTH):
+        hi = min(lo + BFS_WIDTH, nv)
+        shifts = np.arange(hi - lo, dtype=np.uint64)
+        for d, new in enumerate(bfs_levels(graph, range(lo, hi)), start=1):
+            ecc[lo:hi][(np.bitwise_or.reduce(new) >> shifts) & np.uint64(1) != 0] = d
+    return ecc
 
 
 def diameter(graph):
-    return max(eccentricity(graph, i) for i in range(graph.vertex_count))
+    return int(_eccentricities(graph).max())
 
 
 def radius(graph):
-    return min(eccentricity(graph, i) for i in range(graph.vertex_count))
+    return int(_eccentricities(graph).min())
 
 
 def maximal_vertices(n, cap=None):

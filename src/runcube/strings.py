@@ -17,7 +17,7 @@ from functools import lru_cache
 import math
 
 from . import config
-from .errors import DomainError, ResourceLimitError, ValidationError
+from .errors import DomainError, ResourceLimitError, StructureError, ValidationError
 
 
 def _check_binary(word):
@@ -156,7 +156,8 @@ def decompose(word):
             (False, False): "D",
         }[(first_single, last_single)]
     dec = RunDecomposition(word, pre, segments, post, tag)
-    assert dec.reassemble() == word
+    if dec.reassemble() != word:
+        raise StructureError("decomposition of %s reassembles to %s" % (word, dec.reassemble()))
     return dec
 
 

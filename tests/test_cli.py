@@ -52,6 +52,18 @@ def test_graph_cap_exceeded_is_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "value, reason",
+    [("abc", "must be an integer, got 'abc'"), ("-5", "must be nonnegative, got -5")],
+)
+def test_bad_env_cap_is_usage_error(monkeypatch, capsys, value, reason):
+    monkeypatch.setenv("RUNCUBE_VERTEX_CAP", value)
+    code, out, err = run(["graph", "--n", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: RUNCUBE_VERTEX_CAP %s\n" % reason
+
+
 def test_census_json(capsys):
     code, payload = run_json(["census", "--n", "4"], capsys)
     assert code == 0

@@ -39,6 +39,22 @@ def test_dilation_frozen_values():
         assert emb.dilation(n).dilation == want
 
 
+# recorded from the vertex-at-a-time BFS that preceded the bit-parallel one:
+# the worst edge is the first maximum with v ascending, then bit ascending
+DILATION_RESULTS = [
+    emb.DilationResult(1, 2, 2, ("0", "1")),
+    emb.DilationResult(2, 5, 4, ("00", "10")),
+    emb.DilationResult(3, 8, 4, ("000", "010")),
+    emb.DilationResult(4, 11, 6, ("0000", "0100")),
+    emb.DilationResult(5, 14, 8, ("00000", "01000")),
+]
+
+
+@pytest.mark.parametrize("want", DILATION_RESULTS, ids=lambda r: "n%d" % r.n)
+def test_dilation_results_pinned(want):
+    assert emb.dilation(want.n) == want
+
+
 def test_dilation_worst_edge_is_deterministic():
     res = emb.dilation(3)
     again = emb.dilation(3)
