@@ -29,7 +29,15 @@ GF_KINDS = {
     "rank": poset.rank_gf,
 }
 
-VERIFY_SUITES = ("gf", "poset", "inv", "embed")
+# Each suite takes (max_n, order), None meaning its own default.  embed
+# keeps its own max_n: its encoding check builds R_(3 max_n - 1), which a
+# --max-n sized for the other suites (12, say) would push past the vertex cap.
+VERIFY_SUITES = {
+    "gf": enumerators.suite,
+    "poset": poset.suite,
+    "inv": inversions.suite,
+    "embed": lambda max_n, order: embedding.suite(order=order),
+}
 
 
 def _emit_json(payload):
@@ -100,31 +108,6 @@ def cmd_gf(args):
     return 0
 
 
-def _suite_reports(name, max_n, order):
-    if name == "gf":
-        kwargs = {}
-        if max_n is not None:
-            kwargs["max_n"] = max_n
-        if order is not None:
-            kwargs["order"] = order
-        return enumerators.suite(**kwargs)
-    if name == "poset":
-        return poset.suite(**({"max_n": max_n} if max_n is not None else {}))
-    if name == "inv":
-        kwargs = {}
-        if max_n is not None:
-            kwargs["max_n"] = max_n
-        if order is not None:
-            kwargs["order"] = order
-        return inversions.suite(**kwargs)
-    if name == "embed":
-        kwargs = {}
-        if order is not None:
-            kwargs["order"] = order
-        return embedding.suite(**kwargs)
-    raise RuncubeError("unknown suite %r" % name)
-
-
 def cmd_verify(args):
     names = list(VERIFY_SUITES) if args.all else args.suites
     if not names:
@@ -140,7 +123,7 @@ def cmd_verify(args):
         return 2
     reports = []
     for name in names:
-        reports.extend(_suite_reports(name, args.max_n, args.order))
+        reports.extend(VERIFY_SUITES[name](max_n=args.max_n, order=args.order))
     if args.format == "json":
         _emit_json(
             {
@@ -212,12 +195,8 @@ def cmd_poset(args):
 
 def cmd_inv(args):
     if args.action == "verify":
-        reports = inversions.suite(max_n=args.max_n)
-        for rep in reports:
-            print("== %s ==" % rep.name)
-            for line in rep.lines():
-                print(line)
-        return 0 if all(r.ok for r in reports) else 1
+        args.all, args.suites, args.order = False, ["inv"], None
+        return cmd_verify(args)
     poly = inversions.q_polynomial(args.n, cap=args.vertex_cap)
     if args.format == "json":
         _emit_json({"n": args.n, "q_polynomial": poly.json_terms()})

@@ -22,10 +22,13 @@ DEFAULT_ORDER = 40
 DEFAULT_THREADS = 1
 
 
-def _env_int(name, fallback):
+def _resolve(override, name, default):
+    """The override if given, else the environment variable, else the default."""
+    if override is not None:
+        return int(override)
     raw = os.environ.get(name)
     if raw is None:
-        return fallback
+        return default
     try:
         value = int(raw)
     except ValueError:
@@ -36,24 +39,16 @@ def _env_int(name, fallback):
 
 
 def vertex_cap(override=None):
-    if override is not None:
-        return int(override)
-    return _env_int("RUNCUBE_VERTEX_CAP", DEFAULT_VERTEX_CAP)
+    return _resolve(override, "RUNCUBE_VERTEX_CAP", DEFAULT_VERTEX_CAP)
 
 
 def stream_cap(override=None):
-    if override is not None:
-        return int(override)
-    return _env_int("RUNCUBE_STREAM_CAP", DEFAULT_STREAM_CAP)
+    return _resolve(override, "RUNCUBE_STREAM_CAP", DEFAULT_STREAM_CAP)
 
 
 def series_order(override=None):
-    if override is not None:
-        return int(override)
-    return _env_int("RUNCUBE_ORDER", DEFAULT_ORDER)
+    return _resolve(override, "RUNCUBE_ORDER", DEFAULT_ORDER)
 
 
 def thread_count(override=None):
-    if override is not None:
-        return int(override)
-    return _env_int("RUNCUBE_THREADS", DEFAULT_THREADS)
+    return _resolve(override, "RUNCUBE_THREADS", DEFAULT_THREADS)

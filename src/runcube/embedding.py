@@ -307,7 +307,10 @@ def host_check(n_max=8, brute_max=4):
     return report
 
 
-def suite(max_n=4, order=24):
+def suite(max_n=None, order=None):
+    """The embedding reports; None means max_n = 4 and order = 24."""
+    max_n = 4 if max_n is None else max_n
+    order = 24 if order is None else order
     return [
         encoding_check(n_max=max(max_n, 3)),
         dilation_check(n_max=max_n),

@@ -8,7 +8,9 @@ label + "00").  |V(R_n)| is the Fibonacci number f_{n+2}.
 
 Vertex labels are kept as sorted int64 bitmasks (most significant bit =
 first character), which lets adjacency and degree scans run as vectorized
-flip-and-binary-search passes instead of pairwise comparisons.
+flip-and-binary-search passes instead of pairwise comparisons.  One kernel,
+`_flip_scan`, makes those passes for `build`, `degree_census` and
+`maximal_vertices`.
 
 Distances come from one bit-parallel BFS kernel, `bfs_levels`, after
 Then et al., "The More the Merrier: Efficient Multi-Source Graph
@@ -21,34 +23,13 @@ their answers off its levels.
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+import os
 
 import numpy as np
 
 from . import config
 from .errors import DomainError, ResourceLimitError, StructureError, ValidationError
-from .strings import fibonacci, is_run_constrained, mask_to_word, word_to_mask
-
-
-def rc_masks(length):
-    """Sorted int64 masks of all run-constrained strings of a length.
-
-    Built bottom up: level L is level L-1 behind a leading zero, then each
-    letter 1^r 0^(r+1) in front of level L-2r-1.  Prefixes are emitted in
-    increasing numeric order, so the result is ascending without a sort.
-    """
-    if length < 0:
-        raise DomainError("length must be nonnegative")
-    levels = [np.zeros(1, dtype=np.int64)]
-    for L in range(1, length + 1):
-        parts = [levels[L - 1]]
-        r = 1
-        while 2 * r + 1 <= L:
-            head = np.int64(((1 << r) - 1) << (r + 1))
-            shift = L - 2 * r - 1
-            parts.append((head << np.int64(shift)) + levels[shift])
-            r += 1
-        levels.append(np.concatenate(parts))
-    return levels[length]
+from .strings import fibonacci, is_run_constrained, mask_to_word, rc_masks, word_to_mask
 
 
 def vertex_labels(n):
@@ -76,6 +57,47 @@ def _require_label(n, label):
     if not is_run_constrained(word + "00"):
         raise ValidationError("%s is not a vertex of R_%d" % (word, n))
     return mask
+
+
+def _vertex_total(n, cap, streaming=False):
+    """f_(n+2), the vertex count of R_n, once n and the size cap allow it."""
+    if n < 1:
+        raise DomainError("n must be at least 1")
+    total = fibonacci(n + 2)
+    limit = config.stream_cap(cap) if streaming else config.vertex_cap(cap)
+    if total > limit:
+        raise ResourceLimitError(
+            "R_%d has %d vertices, %s cap is %d"
+            % (n, total, "streaming" if streaming else "explicit", limit)
+        )
+    return total
+
+
+def _flip_scan(labels, chunk, n, edges=None):
+    """uint8 (up, down) flip degrees of the vertices in `chunk`.
+
+    `chunk` is a slice of the sorted label array.  For each of the n label
+    bits, every chunk mask is flipped and looked up in `labels` with one
+    searchsorted probe; a hit is a neighbour, counted as up when the bit
+    was 0.  When `edges` is a list, each bit's (chunk index, neighbour
+    index) arrays are appended to it.
+    """
+    nv = len(labels)
+    ups = np.zeros(len(chunk), dtype=np.uint8)
+    downs = np.zeros(len(chunk), dtype=np.uint8)
+    for j in range(n):
+        bit = np.int64(1) << np.int64(j)
+        flipped = chunk ^ bit
+        pos = np.searchsorted(labels, flipped)
+        pos[pos >= nv] = 0
+        member = labels[pos] == flipped
+        was_zero = (chunk & bit) == 0
+        ups += member & was_zero
+        downs += member & ~was_zero
+        if edges is not None:
+            idx = np.nonzero(member)[0]
+            edges.append((idx, pos[idx]))
+    return ups, downs
 
 
 class FibRunGraph:
@@ -125,34 +147,12 @@ class FibRunGraph:
 
 def build(n, cap=None):
     """Materialize R_n explicitly; capped by the vertex limit."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    total = fibonacci(n + 2)
-    limit = config.vertex_cap(cap)
-    if total > limit:
-        raise ResourceLimitError(
-            "R_%d has %d vertices, explicit cap is %d" % (n, total, limit)
-        )
+    total = _vertex_total(n, cap)
     labels = vertex_labels(n)
     nv = len(labels)
-    ups = np.zeros(nv, dtype=np.uint8)
-    downs = np.zeros(nv, dtype=np.uint8)
-    srcs = []
-    dsts = []
-    for j in range(n):
-        bit = np.int64(1) << np.int64(j)
-        flipped = labels ^ bit
-        pos = np.searchsorted(labels, flipped)
-        pos[pos >= nv] = 0
-        member = labels[pos] == flipped
-        was_zero = (labels & bit) == 0
-        ups += (member & was_zero).astype(np.uint8)
-        downs += (member & ~was_zero).astype(np.uint8)
-        idx = np.nonzero(member)[0]
-        srcs.append(idx)
-        dsts.append(pos[idx])
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
+    edges = []
+    ups, downs = _flip_scan(labels, labels, n, edges)
+    src, dst = (np.concatenate(side) for side in zip(*edges))
     order = np.lexsort((dst, src))
     src = src[order]
     dst = dst[order]
@@ -165,24 +165,6 @@ def build(n, cap=None):
             "R_%d built with %d vertices, expected %d" % (n, graph.vertex_count, total)
         )
     return graph
-
-
-def vertex_degrees(n, label):
-    """(up, down) flip degrees of one vertex, validated on the full string."""
-    mask = _require_label(n, label)
-    word = mask_to_word(mask, n)
-    up = down = 0
-    chars = list(word + "00")
-    for i in range(n):
-        ch = chars[i]
-        chars[i] = "1" if ch == "0" else "0"
-        if is_run_constrained("".join(chars)):
-            if ch == "0":
-                up += 1
-            else:
-                down += 1
-        chars[i] = ch
-    return up, down
 
 
 @dataclass
@@ -212,19 +194,7 @@ class DegreeCensus:
 
 
 def _census_chunk(labels, lo, hi, n):
-    nv = len(labels)
-    chunk = labels[lo:hi]
-    ups = np.zeros(len(chunk), dtype=np.uint8)
-    downs = np.zeros(len(chunk), dtype=np.uint8)
-    for j in range(n):
-        bit = np.int64(1) << np.int64(j)
-        flipped = chunk ^ bit
-        pos = np.searchsorted(labels, flipped)
-        pos[pos >= nv] = 0
-        member = labels[pos] == flipped
-        was_zero = (chunk & bit) == 0
-        ups += (member & was_zero).astype(np.uint8)
-        downs += (member & ~was_zero).astype(np.uint8)
+    ups, downs = _flip_scan(labels, labels[lo:hi], n)
     code = ups.astype(np.int32) * 256 + downs
     vals, cnts = np.unique(code, return_counts=True)
     return {(int(v) >> 8, int(v) & 255): int(c) for v, c in zip(vals, cnts)}
@@ -237,14 +207,7 @@ def degree_census(n, cap=None, shards=None, threads=None):
     are merged by summation, so the result does not depend on shard count
     or thread scheduling.
     """
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    total = fibonacci(n + 2)
-    limit = config.stream_cap(cap)
-    if total > limit:
-        raise ResourceLimitError(
-            "R_%d has %d vertices, streaming cap is %d" % (n, total, limit)
-        )
+    total = _vertex_total(n, cap, streaming=True)
     labels = vertex_labels(n)
     nv = len(labels)
     if shards is None:
@@ -252,8 +215,8 @@ def degree_census(n, cap=None, shards=None, threads=None):
     shards = max(1, min(int(shards), nv))
     bounds = [(nv * s) // shards for s in range(shards + 1)]
     jobs = [(bounds[s], bounds[s + 1]) for s in range(shards)]
-    workers = config.thread_count(threads)
-    if workers > 1 and len(jobs) > 1:
+    workers = min(config.thread_count(threads), os.cpu_count() or 1, len(jobs))
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(lambda lohi: _census_chunk(labels, lohi[0], lohi[1], n), jobs))
     else:
@@ -376,26 +339,10 @@ def radius(graph):
 
 def maximal_vertices(n, cap=None):
     """Labels with up-degree zero, ascending (the poset's maximal elements)."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    total = fibonacci(n + 2)
-    limit = config.stream_cap(cap)
-    if total > limit:
-        raise ResourceLimitError(
-            "R_%d has %d vertices, streaming cap is %d" % (n, total, limit)
-        )
+    _vertex_total(n, cap, streaming=True)
     labels = vertex_labels(n)
-    nv = len(labels)
-    has_up = np.zeros(nv, dtype=bool)
-    for j in range(n):
-        bit = np.int64(1) << np.int64(j)
-        was_zero = (labels & bit) == 0
-        flipped = labels ^ bit
-        pos = np.searchsorted(labels, flipped)
-        pos[pos >= nv] = 0
-        member = labels[pos] == flipped
-        has_up |= member & was_zero
-    return [mask_to_word(int(m), n) for m in labels[~has_up]]
+    ups, _ = _flip_scan(labels, labels, n)
+    return [mask_to_word(int(m), n) for m in labels[ups == 0]]
 
 
 def count_induced_cubes(n, cap=None):
@@ -406,14 +353,7 @@ def count_induced_cubes(n, cap=None):
     k-dimensional hypercube.  Enumeration walks submasks of each vertex,
     roughly sum(3^weight(v)) work, so it is capped well below census sizes.
     """
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    total = fibonacci(n + 2)
-    limit = config.vertex_cap(cap)
-    if total > limit:
-        raise ResourceLimitError(
-            "R_%d has %d vertices, explicit cap is %d" % (n, total, limit)
-        )
+    _vertex_total(n, cap)
     labels = [int(v) for v in vertex_labels(n)]
     members = set(labels)
     work = sum(3 ** v.bit_count() for v in labels)

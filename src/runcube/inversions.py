@@ -201,7 +201,10 @@ def q1_specialization_check(order=24):
     return report
 
 
-def suite(max_n=18, order=24):
+def suite(max_n=None, order=None):
+    """The inversion reports; None means max_n = 18 and order = 24."""
+    max_n = 18 if max_n is None else max_n
+    order = 24 if order is None else order
     return [
         recurrence_check(n_max=max_n),
         functional_identity_check(order=order),

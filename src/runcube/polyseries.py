@@ -115,10 +115,6 @@ class MultiPoly:
         self.ring = ring
         self.terms = terms
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -504,11 +500,6 @@ class TruncatedSeries:
     def apply(self, fn):
         return TruncatedSeries(self.ring, [fn(c) for c in self.coeffs], self.order)
 
-    def truncate(self, order):
-        if order > self.order:
-            raise DomainError("cannot extend a truncated series (have %d, want %d)" % (self.order, order))
-        return TruncatedSeries(self.ring, self.coeffs[: order + 1], order)
-
     def agrees_with(self, other, upto=None):
         """Equality of coefficients through min(order) or an explicit bound."""
         n = self._common_order(other)
@@ -582,11 +573,6 @@ class RationalGF:
                 "(%s)*t^%d" % (c.render(), k) for k, c in sorted(table.items())
             ) or "0"
         return "RationalGF((%s) / (%s))" % (side(self.numerator), side(self.denominator))
-
-
-def expand_rational(gf, order):
-    """Series S with S*D = N exactly through the truncation order."""
-    return gf.expand(order)
 
 
 def t_poly_multiply(ring, a, b):

@@ -359,7 +359,9 @@ def maximal_gf_check(order=30, brute_max=20):
     return report
 
 
-def suite(max_n=8):
+def suite(max_n=None, order=None):
+    """The poset reports through R_max_n (default 8); no check takes an order."""
+    max_n = 8 if max_n is None else max_n
     return [
         rank_check(n_max=max(max_n, 8)),
         interval_check(n_max=max_n),

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 import math
 
+import numpy as np
+
 from . import config
 from .errors import DomainError, ResourceLimitError, StructureError, ValidationError
 
@@ -174,24 +176,29 @@ def fibonacci(k):
     return a
 
 
-def _mask_levels(length):
-    """Masks of all run-constrained strings up to a length, sorted ascending.
+def rc_masks(length):
+    """Sorted int64 masks of all run-constrained strings of a length.
 
-    Level L is built by prefixing level L-1 with a zero and prepending each
-    letter 1^r 0^(r+1) to level L-2r-1, which keeps the integers in strictly
-    increasing order.
+    Built bottom up: level L is level L-1 behind a leading zero, then each
+    letter 1^r 0^(r+1) in front of level L-2r-1.  Prefixes are emitted in
+    increasing numeric order, so the result is ascending without a sort.
+    Lengths of 64 or more would wrap int64 and raise DomainError.
     """
-    levels = [[0]]
+    if length < 0:
+        raise DomainError("length must be nonnegative")
+    if length >= 64:
+        raise DomainError("masks of length %d do not fit in int64" % length)
+    levels = [np.zeros(1, dtype=np.int64)]
     for L in range(1, length + 1):
-        cur = list(levels[L - 1])
+        parts = [levels[L - 1]]
         r = 1
         while 2 * r + 1 <= L:
-            head = ((1 << r) - 1) << (r + 1)
+            head = np.int64(((1 << r) - 1) << (r + 1))
             shift = L - 2 * r - 1
-            cur.extend((head << shift) + rest for rest in levels[shift])
+            parts.append((head << np.int64(shift)) + levels[shift])
             r += 1
-        levels.append(cur)
-    return levels
+        levels.append(np.concatenate(parts))
+    return levels[length]
 
 
 def enumerate_rc(length, cap=None):
@@ -205,8 +212,7 @@ def enumerate_rc(length, cap=None):
         raise ResourceLimitError(
             "enumeration of length %d needs %d strings, cap is %d" % (length, total, limit)
         )
-    masks = _mask_levels(length)[length]
-    return [format(m, "0%db" % length) if length else "" for m in masks]
+    return [format(m, "0%db" % length) if length else "" for m in rc_masks(length).tolist()]
 
 
 @lru_cache(maxsize=None)

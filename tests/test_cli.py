@@ -191,6 +191,13 @@ def test_inv_verify(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_inv_verify_prints_what_verify_inv_prints(capsys, fmt):
+    got = run(["inv", "verify", "--max", "10", "--format", fmt], capsys)
+    want = run(["verify", "inv", "--max-n", "10", "--format", fmt], capsys)
+    assert got == want
+
+
 def test_embed_encode(capsys):
     code, payload = run_json(["embed", "encode", "--word", "010"], capsys)
     assert code == 0

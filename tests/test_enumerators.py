@@ -90,6 +90,13 @@ def test_specializations():
     assert rep.ok, "\n".join(rep.failures)
 
 
+@pytest.mark.parametrize("order", [1, 6, 12])
+def test_specializations_pass_below_the_printed_prefix(order):
+    # MAXIMAL_PREFIX has 13 terms; a shorter order must not fail on it
+    rep = en.specialize_checks(order=order)
+    assert rep.ok, "\n".join(rep.failures)
+
+
 def test_edge_gf():
     rep = en.edge_gf_check(order=24)
     assert rep.ok, "\n".join(rep.failures)

@@ -57,10 +57,57 @@ def test_census_sharding_and_threads_are_invisible():
     assert graph.degree_census(12, threads=2).counts == base.counts
 
 
-def test_vertex_degrees_matches_flips():
-    for label in ("0000", "1000", "0100", "0010"):
-        up, down = graph.vertex_degrees(4, label)
-        assert (up, down) == strings.flip_degrees(label + "00")
+@pytest.mark.parametrize("n", range(1, 11))
+def test_build_degrees_match_string_flips(n):
+    # the string-level brute force is independent of the flip-scan kernel
+    g = graph.build(n)
+    for i in range(g.vertex_count):
+        up, down = strings.flip_degrees(g.label_string(i) + "00")
+        assert (int(g.up_degrees[i]), int(g.down_degrees[i])) == (up, down)
+
+
+def test_census_threads_are_clamped(monkeypatch):
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(graph, "ThreadPoolExecutor", SerialPool)
+    base = graph.degree_census(8).counts
+    monkeypatch.setattr(graph.os, "cpu_count", lambda: 4)
+    assert graph.degree_census(8, shards=8, threads=10**6).counts == base
+    monkeypatch.setattr(graph.os, "cpu_count", lambda: 64)
+    assert graph.degree_census(8, shards=8, threads=10**6).counts == base
+    monkeypatch.setenv("RUNCUBE_THREADS", str(10**6))
+    assert graph.degree_census(8, shards=3).counts == base
+    monkeypatch.setattr(graph.os, "cpu_count", lambda: None)
+    assert graph.degree_census(8, shards=8, threads=10**6).counts == base
+    assert pools == [4, 8, 3]
+
+
+def test_masks_past_int64_are_refused(monkeypatch):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError("rc_masks reached numpy before checking the length")
+
+    # the guard must fire before any array is allocated
+    monkeypatch.setattr(strings, "np", NoNumpy())
+    with pytest.raises(DomainError, match="int64"):
+        graph.rc_masks(64)
+    with pytest.raises(DomainError, match="int64"):
+        graph.vertex_labels(62)
+    with pytest.raises(DomainError, match="int64"):
+        strings.enumerate_rc(64, cap=10**30)
 
 
 def test_distances_and_eccentricity():

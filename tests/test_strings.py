@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -49,6 +51,12 @@ def test_factorize_roundtrip():
 def test_enumeration_counts_are_fibonacci():
     for n in range(1, 15):
         assert len(strings.enumerate_rc(n)) == strings.fibonacci(n)
+
+
+@pytest.mark.parametrize("length", range(15))
+def test_enumeration_is_the_run_constrained_subset(length):
+    every = ["".join(bits) for bits in product("01", repeat=length)]
+    assert strings.enumerate_rc(length) == [w for w in every if brute_is_rc(w)]
 
 
 def test_enumeration_is_sorted_and_valid():
