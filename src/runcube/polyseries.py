@@ -4,9 +4,28 @@ Polynomials live over a small registry of named variables (a Ring) and keep
 integer coefficients in a dict keyed by exponent vectors, so no precision is
 ever lost.  Truncated series are lists of such polynomials indexed by the
 power of the formal variable t; all series arithmetic is exact up to the
-truncation order.  RationalFunction expands a rational generating function
+truncation order.  RationalGF expands a rational generating function
 whose denominator has constant term 1 via the usual division recurrence.
+
+Series products, division and the geometric inverse run on Kronecker-packed
+bigints (Kronecker substitution; D. Harvey, J. Symbolic Comput. 44 (2009)).
+Every coefficient of a series goes into one Python int: the monomial
+c * t^k * prod(v^e_v) becomes c << w * (k * block + sum(e_v * stride_v)),
+where the strides and the block size come from a per-variable degree bound
+and the slot width of w bits is a whole number of bytes, at least two bits
+wider than a bound on every result coefficient.  Both bounds are computed from
+the operands before packing, so no slot can alias another or carry into
+it.  A product is one bigint multiply; a quotient keeps the divisor as
+(coefficient, shift) pairs and runs the division recurrence on packed
+coefficients.  Unpacking adds 2^(w-1) to every slot, reads the bytes once
+through numpy and converts only the slots that differ from that bias.
+Packing shifts by exponents, so a Ring refuses negative ones.
 """
+
+from itertools import accumulate, repeat
+from operator import add, mul
+
+import numpy as np
 
 from .errors import DomainError, RegistryError, SeriesError
 
@@ -42,22 +61,23 @@ class Ring:
     def var(self, name, power=1):
         exps = [0] * self.arity
         exps[self.index_of(name)] = int(power)
-        return MultiPoly(self, {tuple(exps): 1})
+        return MultiPoly(self, {_exponents(exps): 1})
 
     def monomial(self, coeff, **powers):
         exps = [0] * self.arity
         for name, p in powers.items():
             exps[self.index_of(name)] = int(p)
+        exps = _exponents(exps)
         coeff = int(coeff)
         if coeff == 0:
             return self.zero()
-        return MultiPoly(self, {tuple(exps): coeff})
+        return MultiPoly(self, {exps: coeff})
 
     def poly(self, terms):
         """Build a polynomial from {exponent tuple: coefficient}."""
         clean = {}
         for exps, c in terms.items():
-            exps = tuple(int(e) for e in exps)
+            exps = _exponents(int(e) for e in exps)
             if len(exps) != self.arity:
                 raise RegistryError("exponent vector %r has wrong arity" % (exps,))
             c = int(c)
@@ -73,6 +93,14 @@ class Ring:
 
     def __repr__(self):
         return "Ring(%s)" % ", ".join(self.names)
+
+
+def _exponents(exps):
+    """Exponent tuple, refusing negative entries (series packing shifts by them)."""
+    exps = tuple(exps)
+    if any(e < 0 for e in exps):
+        raise DomainError("exponents must be nonnegative, got %r" % (exps,))
+    return exps
 
 
 def _check_same_ring(a, b):
@@ -316,6 +344,78 @@ class MultiPoly:
         return "MultiPoly(%s)" % self.render()
 
 
+def _norm(terms):
+    """1-norm of a term dict: the sum of its absolute coefficients."""
+    return sum(map(abs, terms.values()))
+
+
+def _degrees(terms, arity):
+    """Per-variable maximum exponent of a term dict, 0 for the zero dict."""
+    return list(map(max, zip(*terms))) if terms else [0] * arity
+
+
+class _Layout:
+    """Kronecker layout of a truncated series over one ring, in one int.
+
+    Block k holds the coefficient of t^k; inside a block the monomial with
+    exponent vector e sits in slot sum(e_v * stride_v), slots being `width`
+    bytes.  A layout is exact for polynomials whose exponents stay within
+    `degrees` and whose coefficients have absolute value at most `bound`.
+    """
+
+    def __init__(self, degrees, bound):
+        self.width = (bound.bit_length() + 2 + 7) // 8
+        self.dims = [d + 1 for d in degrees]
+        self.strides = []
+        self.block = 1
+        for dim in self.dims:
+            self.strides.append(self.block)
+            self.block *= dim
+
+    def shift(self, exps):
+        """Bit offset of a monomial inside its block."""
+        return 8 * self.width * sum(map(mul, exps, self.strides))
+
+    def pack(self, polys):
+        """One int holding the term dict polys[k] in block k."""
+        w = self.width
+        pos = bytearray(w * self.block * len(polys))
+        neg = bytearray(len(pos))
+        for k, terms in enumerate(polys):
+            base = k * self.block
+            for exps, c in terms.items():
+                at = w * (base + sum(map(mul, exps, self.strides)))
+                if c > 0:
+                    pos[at : at + w] = c.to_bytes(w, "little")
+                else:
+                    neg[at : at + w] = (-c).to_bytes(w, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    def unpack(self, value, blocks=1):
+        """Term dicts of the first `blocks` blocks of a packed value."""
+        w = self.width
+        size = w * self.block * blocks
+        half = 1 << (8 * w - 1)
+        bias = int.from_bytes(half.to_bytes(w, "little") * (self.block * blocks), "little")
+        data = ((value + bias) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+        rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, w)
+        # an empty slot reads as the bias: low bytes 0, top byte 0x80
+        live = np.flatnonzero(rows[:, :-1].any(axis=1) | (rows[:, -1] != 0x80))
+        ends = np.searchsorted(live, self.block * np.arange(1, blocks + 1)).tolist()
+        out = []
+        start = 0
+        for end in ends:
+            slots = live[start:end]
+            rest = slots % self.block
+            cols = [((rest // s) % dim).tolist() for s, dim in zip(self.strides, self.dims)]
+            keys = zip(*cols) if cols else repeat((), end - start)
+            offsets = (slots * w).tolist()
+            coeffs = (int.from_bytes(data[at : at + w], "little") - half for at in offsets)
+            out.append(dict(zip(keys, coeffs)))
+            start = end
+        return out
+
+
 class TruncatedSeries:
     """Power series in t truncated at a fixed order, coefficients MultiPoly."""
 
@@ -404,20 +504,33 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
+            _check_same_ring(self, other)
             n = self._common_order(other)
-            out = [dict() for _ in range(n + 1)]
-            for i in range(n + 1):
-                ti = self.coeffs[i].terms
-                if not ti:
-                    continue
-                for j in range(n + 1 - i):
-                    tj = other.coeffs[j].terms
-                    if not tj:
-                        continue
-                    _add_into(out[i + j], _mul_terms(ti, tj))
-            return TruncatedSeries(
-                self.ring, [MultiPoly(self.ring, d) for d in out], n
+            a = [c.terms for c in self.coeffs[: n + 1]]
+            b = [c.terms for c in other.coeffs[: n + 1]]
+            low_a = next((i for i, t in enumerate(a) if t), n + 1)
+            low_b = next((j for j, t in enumerate(b) if t), n + 1)
+            if low_a + low_b > n:
+                return TruncatedSeries.zero(self.ring, n)
+            # a_i * b_j reaches t^n only if i + j <= n, so each operand stops
+            # where the other's first nonzero coefficient pushes it past t^n
+            a = a[: n + 1 - low_b]
+            b = b[: n + 1 - low_a]
+            norms_a = [_norm(t) for t in a] + [0] * low_b
+            norms_b = [_norm(t) for t in b] + [0] * low_a
+            bound = max(sum(map(mul, norms_a[: k + 1], norms_b[k::-1])) for k in range(n + 1))
+            # a_i meets b_0 .. b_(n-i), so those bound the degrees of the kept terms
+            arity = self.ring.arity
+            reach = list(
+                accumulate((_degrees(t, arity) for t in b), lambda x, y: list(map(max, x, y)))
             )
+            degrees = [0] * arity
+            for i, t in enumerate(a):
+                if t:
+                    degrees = list(map(max, degrees, map(add, _degrees(t, arity), reach[n - i])))
+            layout = _Layout(degrees, bound)
+            product = layout.pack(a) * layout.pack(b)
+            return self._from_dicts(layout.unpack(product, n + 1), n)
         scalar = self._coerce_scalar(other)
         if scalar is None:
             return NotImplemented
@@ -446,21 +559,56 @@ class TruncatedSeries:
 
     def divide_by(self, den):
         """Divide by a series whose constant coefficient is 1."""
+        _check_same_ring(self, den)
         n = self._common_order(den)
         if den.coeffs[0] != self.ring.one():
             raise SeriesError(
                 "divisor constant term must be 1, got %s" % den.coeffs[0].render(),
                 index=0,
             )
-        out = [dict() for _ in range(n + 1)]
+        num = [c.terms for c in self.coeffs[: n + 1]]
+        divisor = [(j, den.coeffs[j].terms) for j in range(1, n + 1) if den.coeffs[j]]
+        # out_k = num_k - sum_j den_j * out_(k-j), so with B_k bounding the
+        # 1-norm of out_k, B_k = |num_k| + sum_j |den_j| * B_(k-j), and the
+        # degrees of out_k follow the same recurrence with max and +
+        arity = self.ring.arity
+        den_bounds = [(j, _norm(t), _degrees(t, arity)) for j, t in divisor]
+        bounds = []
+        degrees = []
         for k in range(n + 1):
-            acc = dict(self.coeffs[k].terms)
-            for j in range(1, k + 1):
-                dj = den.coeffs[j].terms
-                if dj and out[k - j]:
-                    _add_into(acc, _mul_terms(dj, out[k - j]), -1)
-            out[k] = acc
-        return TruncatedSeries(self.ring, [MultiPoly(self.ring, d) for d in out], n)
+            bound = _norm(num[k])
+            deg = _degrees(num[k], arity)
+            for j, dnorm, ddeg in den_bounds:
+                if j > k:
+                    break
+                if bounds[k - j]:
+                    bound += dnorm * bounds[k - j]
+                    deg = list(map(max, deg, map(add, ddeg, degrees[k - j])))
+            bounds.append(bound)
+            degrees.append(deg)
+        layout = _Layout([max(col) for col in zip(*degrees)], max(bounds))
+        steps = [(j, [(c, layout.shift(e)) for e, c in t.items()]) for j, t in divisor]
+        span = divisor[-1][0] if divisor else 0
+        packed = []
+        out = []
+        for k in range(n + 1):
+            acc = layout.pack([num[k]]) if num[k] else 0
+            for j, pairs in steps:
+                if j > k:
+                    break
+                prev = packed[k - j]
+                if prev:
+                    for c, shift in pairs:
+                        acc -= c * (prev << shift)
+            packed.append(acc)
+            if k >= span:
+                # later steps reach back at most `span` powers of t, so this
+                # packed coefficient can be read and dropped
+                out += layout.unpack(packed[k - span])
+                packed[k - span] = None
+        for value in packed[len(out) :]:
+            out += layout.unpack(value)
+        return self._from_dicts(out, n)
 
     def compose_geometric(self):
         """Return 1/(1 - self); requires zero constant coefficient."""
@@ -470,17 +618,11 @@ class TruncatedSeries:
                 % self.coeffs[0].render(),
                 index=0,
             )
-        n = self.order
-        out = [dict() for _ in range(n + 1)]
-        out[0] = dict(self.ring.one().terms)
-        for k in range(1, n + 1):
-            acc = {}
-            for j in range(1, k + 1):
-                sj = self.coeffs[j].terms
-                if sj and out[k - j]:
-                    _add_into(acc, _mul_terms(sj, out[k - j]))
-            out[k] = acc
-        return TruncatedSeries(self.ring, [MultiPoly(self.ring, d) for d in out], n)
+        one = TruncatedSeries.one(self.ring, self.order)
+        return one.divide_by(one - self)
+
+    def _from_dicts(self, term_dicts, order):
+        return TruncatedSeries(self.ring, [MultiPoly(self.ring, d) for d in term_dicts], order)
 
     def substitute(self, name, replacement):
         return self.apply(lambda c: c.substitute(name, replacement))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -95,6 +96,47 @@ def test_gf_every_kind_runs(capsys):
     for kind in sorted(cli.GF_KINDS):
         code, _, _ = run(["gf", "--kind", kind, "--order", "6"], capsys)
         assert code == 0
+
+
+# sha256 of the JSON output, recorded with the dict-convolution series code
+# that preceded the packed kernel
+GF_ORDER_60_SHA256 = {
+    "updown": "18b7eeab659fe96f6c85f284fec7d9cfd40d37f19d11205ed377b3d575a28ec0",
+    "degree": "7e044af46e1151ec8f4268ad2be96f3633daf29634f2784f6c62bedc9e18c770",
+    "up": "ccb8cf0990310ea1fd884d45bd24957dc5ea6286e10a261abb54197724ed4604",
+    "down": "3e821d0ce70a71c19e03aa2012cec8467ea74731c044f861e05506427fc2d66c",
+    "cube": "1111b8fd877dcf3eae0ae913521f280d01a5932b642b289ddbea856a41024631",
+    "rank": "9b469f7bb536a3cd50574708456c22fb52b4c49be929c8049d67081059b4b74f",
+    "maximal": "78adb6a2630bfe5dad42e67ecea4a099266a3347e364a88774b08fa570010d7f",
+    "edge": "fc705e1bcd17f23a9499a52a6fa89fd09c2f36837f49879b23e69d63f2548d78",
+}
+VERIFY_ALL_SHA256 = "a726cacbab47651d8a4214239573ad058247ce549f101adedd897f986f3d71e2"
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(GF_ORDER_60_SHA256))
+def test_gf_json_is_pinned(capsys, kind):
+    code, out, _ = run(["gf", "--kind", kind, "--order", "60", "--format", "json"], capsys)
+    assert code == 0
+    assert sha256(out) == GF_ORDER_60_SHA256[kind]
+
+
+def test_verify_all_json_is_pinned(capsys):
+    argv = ["verify", "--all", "--max-n", "8", "--order", "40", "--format", "json"]
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    assert sha256(out) == VERIFY_ALL_SHA256
+
+
+@pytest.mark.parametrize("argv", [["verify", "inv"], ["verify", "--all", "--max-n", "6"]])
+def test_verify_runs_at_order_one(capsys, argv):
+    code, out, err = run(argv + ["--order", "1"], capsys)
+    assert err == ""
+    assert code == (0 if argv[1] == "inv" else 1)
+    assert "PASS (H|q=1 - 1 - t - t^2)/t^2 is the rank GF" in out
 
 
 def test_verify_single_suite_passes(capsys):

@@ -154,6 +154,187 @@ def test_geometric_inverse(s):
     assert (inv * (one - body)).agrees_with(one)
 
 
+# ---------------------------------------------------------------------------
+# naive oracle: schoolbook convolution and the division recurrence on plain
+# {exponent tuple: coefficient} dicts, sharing no code with the series kernel
+
+
+def naive_product(a, b, order):
+    """Term dicts of a * b through t^order, from lists of term dicts."""
+    out = [{} for _ in range(order + 1)]
+    for i, ta in enumerate(a[: order + 1]):
+        for j, tb in enumerate(b[: order + 1 - i]):
+            for ea, ca in ta.items():
+                for eb, cb in tb.items():
+                    key = tuple(x + y for x, y in zip(ea, eb))
+                    out[i + j][key] = out[i + j].get(key, 0) + ca * cb
+    return [{e: c for e, c in d.items() if c} for d in out]
+
+
+def naive_quotient(num, den, order):
+    """Term dicts of num / den through t^order; den[0] must be the unit."""
+    out = []
+    for k in range(order + 1):
+        acc = dict(num[k]) if k < len(num) else {}
+        for j in range(1, min(k, len(den) - 1) + 1):
+            for ed, cd in den[j].items():
+                for eo, co in out[k - j].items():
+                    key = tuple(x + y for x, y in zip(ed, eo))
+                    acc[key] = acc.get(key, 0) - cd * co
+        out.append({e: c for e, c in acc.items() if c})
+    return out
+
+
+def dicts(s):
+    return [c.terms for c in s.coeffs]
+
+
+RINGS = [Ring(("a", "b", "c", "e")[:arity]) for arity in range(5)]
+# exponents per variable, shrinking with arity so the packed boxes stay small
+MAX_EXP = [0, 5, 3, 2, 1]
+COEFFS = st.one_of(
+    st.sampled_from([-1, 1]),  # unit coefficients cancel often
+    st.integers(-9, 9),
+    st.integers(-(2 ** 200), 2 ** 200),
+)
+
+
+def wide_polys(arity):
+    term = st.tuples(st.tuples(*[st.integers(0, MAX_EXP[arity])] * arity), COEFFS)
+    return st.lists(term, max_size=4).map(lambda items: RINGS[arity].poly(dict(items)))
+
+
+def wide_series(arity, order, unit=False):
+    """Series over RINGS[arity] through t^order, often zero or sparse."""
+    coeffs = st.lists(
+        st.one_of(st.just(RINGS[arity].zero()), wide_polys(arity)), max_size=order + 1
+    )
+    if unit:
+        coeffs = coeffs.map(lambda cs: [RINGS[arity].one()] + cs[1:])
+    return coeffs.map(lambda cs: TruncatedSeries(RINGS[arity], cs, order))
+
+
+def series_pairs(unit=False):
+    """Two series over one ring of arity 0..4, with independent orders."""
+    return st.tuples(st.integers(0, 4), st.integers(0, 6), st.integers(0, 6)).flatmap(
+        lambda aoo: st.tuples(wide_series(aoo[0], aoo[1]), wide_series(aoo[0], aoo[2], unit))
+    )
+
+
+@given(series_pairs())
+@settings(max_examples=150, deadline=None)
+def test_product_matches_naive_convolution(pair):
+    a, b = pair
+    n = min(a.order, b.order)
+    got = a * b
+    assert got.order == n
+    assert dicts(got) == naive_product(dicts(a), dicts(b), n)
+
+
+@given(series_pairs(unit=True))
+@settings(max_examples=150, deadline=None)
+def test_division_matches_naive_recurrence(pair):
+    num, den = pair
+    n = min(num.order, den.order)
+    got = num.divide_by(den)
+    assert got.order == n
+    assert dicts(got) == naive_quotient(dicts(num), dicts(den), n)
+
+
+@given(st.tuples(st.integers(0, 4), st.integers(0, 6)).flatmap(lambda ao: wide_series(*ao)))
+@settings(max_examples=100, deadline=None)
+def test_geometric_inverse_matches_naive_recurrence(s):
+    ring = s.ring
+    body = TruncatedSeries(ring, [ring.zero()] + s.coeffs[1:], s.order)
+    one = {(0,) * ring.arity: 1}
+    den = [one] + [{e: -c for e, c in t.items()} for t in dicts(body)[1:]]
+    assert dicts(body.compose_geometric()) == naive_quotient([one], den, s.order)
+
+
+@given(series_pairs(unit=True), st.integers(0, 8))
+@settings(max_examples=100, deadline=None)
+def test_rational_expansion_matches_naive_recurrence(pair, order):
+    num, den = pair
+    ring = num.ring
+    gf = RationalGF(
+        ring,
+        {k: c for k, c in enumerate(num.coeffs)},
+        {k: c for k, c in enumerate(den.coeffs)},
+    )
+    got = gf.expand(order)
+    assert dicts(got) == naive_quotient(dicts(num), dicts(den) + [{}] * order, order)
+
+
+@pytest.mark.parametrize("c", [2 ** 63 - 1, 2 ** 64, -(2 ** 63), -(2 ** 64) + 1])
+@pytest.mark.parametrize("arity", [0, 1])
+def test_binomial_powers_cross_slot_width_edges(c, arity):
+    ring = RINGS[arity]
+    order = 12
+    step = ring.const(c) if arity == 0 else ring.monomial(c, a=1)
+    base = TruncatedSeries(ring, [ring.one(), step], order)
+    power = TruncatedSeries.one(ring, order)
+    naive = dicts(power)
+    for k in range(1, order + 1):
+        power = power * base
+        naive = naive_product(naive, dicts(base), order)
+        assert dicts(power) == naive
+        assert power.coeffs[k].terms == {(k,) * arity: c ** k}
+    # dividing (1 + ct)^12 by 1 + ct gives (1 + ct)^11, and 1 / (1 + ct) alternates
+    assert dicts(power.divide_by(base)) == naive_quotient(naive, dicts(base), order)
+    inverse = TruncatedSeries.one(ring, order).divide_by(base)
+    assert [sum(t.values()) for t in dicts(inverse)] == [(-c) ** k for k in range(order + 1)]
+
+
+@pytest.mark.parametrize("s", range(0, 36))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_summed_products_cross_slot_width_edges(s, sign):
+    # the t^3 coefficient of (sum_(i<4) 2^s t^i)(sum_(i<4) 2^(s+1) t^i) is
+    # 4 * 2^(2s+1), four times any single term product, for every byte offset
+    ring = RINGS[1]
+    a = TruncatedSeries(ring, [ring.monomial(sign * 2 ** s, a=1)] * 4, 5)
+    b = TruncatedSeries(ring, [ring.const(2 ** (s + 1))] * 4, 5)
+    assert dicts(a * b) == naive_product(dicts(a), dicts(b), 5)
+    assert (a * b).coeffs[3].terms == {(1,): sign * 2 ** (2 * s + 3)}
+
+
+def test_all_zero_series():
+    for ring in RINGS:
+        zero = TruncatedSeries.zero(ring, 5)
+        one = TruncatedSeries.one(ring, 3)
+        assert dicts(zero * one) == [{}] * 4
+        assert dicts(one * zero) == [{}] * 4
+        assert dicts(zero.divide_by(one)) == [{}] * 4
+        assert dicts(zero.compose_geometric()) == dicts(TruncatedSeries.one(ring, 5))
+
+
+def test_cancelling_product_drops_zero_terms():
+    a, b = RINGS[2].var("a"), RINGS[2].var("b")
+    one = RINGS[2].one()
+    s = TruncatedSeries(RINGS[2], [one, a + b, a * b])
+    t = TruncatedSeries(RINGS[2], [one, -a - b, a * b])
+    # (1 + (a+b)t + abt^2)(1 - (a+b)t + abt^2) = 1 - (a^2 + b^2)t^2 + a^2b^2 t^4
+    assert dicts(s * t) == [{(0, 0): 1}, {}, {(2, 0): -1, (0, 2): -1}]
+
+
+def test_series_refuse_mixed_rings():
+    x_ring = Ring(("x",))
+    s = TruncatedSeries.one(R2, 3)
+    t = TruncatedSeries.one(x_ring, 3)
+    with pytest.raises(RegistryError):
+        s * t
+    with pytest.raises(RegistryError):
+        s.divide_by(t)
+
+
+def test_negative_exponents_are_refused():
+    with pytest.raises(DomainError):
+        R2.var("u", -1)
+    with pytest.raises(DomainError):
+        R2.monomial(3, d=-2)
+    with pytest.raises(DomainError):
+        Ring(("x",)).poly({(-2,): 3})
+
+
 def test_divide_by_requires_unit_constant():
     s = TruncatedSeries.one(R2, 4)
     den = TruncatedSeries.from_terms(R2, {0: 2}, 4)
