@@ -11,7 +11,7 @@ closed form against brute force.  Everything is integer arithmetic.
 
 __version__ = "0.1.0"
 
-from .config import series_order, stream_cap, thread_count, vertex_cap
+from .config import series_order, stream_cap, vertex_cap
 from .embedding import (
     DilationResult,
     EncodingResult,
@@ -59,6 +59,7 @@ from .graph import (
     eccentricity,
     edge_count,
     maximal_vertices,
+    transfer_census,
     vertex_labels,
 )
 from .inversions import q_polynomial, q_polynomial_recursive, q_series

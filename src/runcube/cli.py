@@ -1,7 +1,8 @@
 """Command line front end.
 
-Subcommands map onto the library modules: `graph` and `census` expose
-brute-force structure, `gf` prints series expansions of the closed-form
+Subcommands map onto the library modules: `graph` exposes brute-force
+structure, `census` counts vertices by degree with the run-level transfer
+automaton, `gf` prints series expansions of the closed-form
 generating functions, `verify` runs the verification suites and exits
 nonzero when any check fails (two of the published order-theoretic
 claims do fail, so `verify --all` reports that honestly), and `poset`,
@@ -73,9 +74,7 @@ def cmd_graph(args):
 
 
 def cmd_census(args):
-    census = graph.degree_census(
-        args.n, cap=args.vertex_cap, shards=args.shards, threads=args.threads
-    )
+    census = graph.transfer_census(args.n, cap=args.vertex_cap)
     if args.format == "json":
         _emit_json({"census": census.to_json_dict()})
     else:
@@ -256,11 +255,9 @@ def build_parser():
     _add_format(p, ("text", "json", "dot"))
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("census", help="stream the degree census of one graph")
+    p = sub.add_parser("census", help="count the vertices of one graph by (up, down) degree")
     p.add_argument("--n", type=_positive, required=True)
     p.add_argument("--vertex-cap", type=_positive, default=None)
-    p.add_argument("--threads", type=_positive, default=None)
-    p.add_argument("--shards", type=_positive, default=None)
     _add_format(p)
     p.set_defaults(func=cmd_census)
 

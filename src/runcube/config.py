@@ -6,7 +6,6 @@ the built-in defaults.  The environment variables are
     RUNCUBE_VERTEX_CAP   largest vertex count for explicit graph objects
     RUNCUBE_STREAM_CAP   largest vertex count for streaming censuses
     RUNCUBE_ORDER        default truncation order for series expansions
-    RUNCUBE_THREADS      worker threads for the streaming census
 
 and each must hold a nonnegative integer; any other value raises
 ConfigError, which the command line reports as a usage error.
@@ -19,7 +18,6 @@ from .errors import ConfigError
 DEFAULT_VERTEX_CAP = 2_000_000
 DEFAULT_STREAM_CAP = 50_000_000
 DEFAULT_ORDER = 40
-DEFAULT_THREADS = 1
 
 
 def _resolve(override, name, default):
@@ -48,7 +46,3 @@ def stream_cap(override=None):
 
 def series_order(override=None):
     return _resolve(override, "RUNCUBE_ORDER", DEFAULT_ORDER)
-
-
-def thread_count(override=None):
-    return _resolve(override, "RUNCUBE_THREADS", DEFAULT_THREADS)

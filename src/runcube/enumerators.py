@@ -170,27 +170,27 @@ def census_polynomial(census):
     return UD.poly({(a, b): c for (a, b), c in census.counts.items()})
 
 
-def updown_polynomial(n, cap=None, threads=None):
+def updown_polynomial(n, cap=None):
     """Up-down degree enumerator of R_n from the streamed census."""
-    return census_polynomial(graph.degree_census(n, cap=cap, threads=threads))
+    return census_polynomial(graph.degree_census(n, cap=cap))
 
 
-def degree_polynomial(n, cap=None, threads=None):
+def degree_polynomial(n, cap=None):
     """Degree enumerator g_n(x), the u,d := x collapse of the census."""
     x = DEGREE_RING.var("x")
-    return updown_polynomial(n, cap=cap, threads=threads).map_onto(
+    return updown_polynomial(n, cap=cap).map_onto(
         DEGREE_RING, {"u": x, "d": x}
     )
 
 
-def census_check(n_max=16, cap=None, threads=None):
+def census_check(n_max=16, cap=None):
     """Closed forms vs. streamed censuses for 1 <= n <= n_max."""
     report = Report("closed forms vs census")
     closed = gf_updown_closed(n_max)
     closed_degree = gf_degree_closed(n_max)
     x = DEGREE_RING.var("x")
     for n in range(1, n_max + 1):
-        poly = updown_polynomial(n, cap=cap, threads=threads)
+        poly = updown_polynomial(n, cap=cap)
         report.expect_equal("up-down GF coefficient t^%d" % n, closed.coefficient(n), poly)
         report.expect_equal(
             "degree GF coefficient t^%d" % n,

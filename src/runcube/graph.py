@@ -19,16 +19,43 @@ holding a uint64 word of the sources that have reached it, and each level
 is a single gather and per-row OR over the CSR arrays.  `bfs_distances`,
 `eccentricity`, `diameter`, `radius` and `embedding.dilation` all read
 their answers off its levels.
+
+`census --n N` does not scan at all: `transfer_census` reads the census
+off a finite automaton over runs (the transfer-matrix method, Stanley,
+Enumerative Combinatorics 1, section 4.7).  Write a run-constrained
+string as a leading run 0^z0 followed by blocks 1^r 0^(r+1+s), r >= 1,
+slack s >= 0.  Its flip degrees are then
+
+    down:  d per block with r = 1, d^2 per block with r >= 2;
+    up:    u^max(0, z0-2) from the leading run, u^max(0, s-1) from each
+           block's zero run, and one more u for each pair of adjacent zero
+           runs that both have slack >= 1 (for the leading run: z0 >= 1).
+
+The automaton's states, each the census polynomial of the strings of
+length k that end in that state, are
+
+    L0[0] = 1, L1[1] = 1, L2[k] = u^(k-2)         leading run z0 = 0, 1, >= 2
+    F0 = L0 + A00 + A01,  F1 = L1 + L2 + A1        last zero run: slack 0 / >= 1
+    Q_f[k]  = d^2 F_f[k-5] + Q_f[k-2]              a block with r >= 2, s = 0
+    A0_f[k] = d F_f[k-3] + Q_f[k]                  any block with s = 0
+    A1[k]   = A00[k-1] + u A01[k-1] + u A1[k-1]    one more zero of slack
+
+where f in A0_f and Q_f is the slack class (F0 or F1) of the zero run
+before the block, and R_n's census is F0[n+2] + F1[n+2].  Every state is
+one Kronecker-packed int (`polyseries._Layout`), so a factor u^a d^b is a
+shift and a sum of states a bigint add; only the last five lengths are
+kept.  The flip scan stays as the brute oracle (`degree_census`, used by
+`census_check`, `edge_count` and the tests).
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass
-import os
 
 import numpy as np
 
 from . import config
 from .errors import DomainError, ResourceLimitError, StructureError, ValidationError
+from .polyseries import _Layout
 from .strings import fibonacci, is_run_constrained, mask_to_word, rc_masks, word_to_mask
 
 
@@ -200,35 +227,87 @@ def _census_chunk(labels, lo, hi, n):
     return {(int(v) >> 8, int(v) & 255): int(c) for v, c in zip(vals, cnts)}
 
 
-def degree_census(n, cap=None, shards=None, threads=None):
+CENSUS_CHUNK = 1_000_000
+
+
+def degree_census(n, cap=None):
     """Stream the (up, down) census without building adjacency.
 
-    The label array is split into contiguous shards whose partial censuses
-    are merged by summation, so the result does not depend on shard count
-    or thread scheduling.
+    The flip scan runs over chunks of CENSUS_CHUNK labels, which bounds its
+    temporaries, and the partial censuses are merged by summation.
     """
     total = _vertex_total(n, cap, streaming=True)
     labels = vertex_labels(n)
-    nv = len(labels)
-    if shards is None:
-        shards = max(1, nv // 1_000_000)
-    shards = max(1, min(int(shards), nv))
-    bounds = [(nv * s) // shards for s in range(shards + 1)]
-    jobs = [(bounds[s], bounds[s + 1]) for s in range(shards)]
-    workers = min(config.thread_count(threads), os.cpu_count() or 1, len(jobs))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda lohi: _census_chunk(labels, lohi[0], lohi[1], n), jobs))
-    else:
-        partials = [_census_chunk(labels, lo, hi, n) for lo, hi in jobs]
     counts = {}
-    for part in partials:
-        for key, c in part.items():
+    for lo in range(0, len(labels), CENSUS_CHUNK):
+        for key, c in _census_chunk(labels, lo, lo + CENSUS_CHUNK, n).items():
             counts[key] = counts.get(key, 0) + c
     census = DegreeCensus(n, counts)
     if census.vertex_total() != total:
         raise StructureError(
             "census of R_%d counts %d vertices, expected %d" % (n, census.vertex_total(), total)
+        )
+    return census
+
+
+# a transfer census refuses to start when its packed states would need more
+# bytes than this; the states grow about like n^3 bits
+TRANSFER_MAX_BYTES = 1 << 28
+
+
+def _transfer_layout(n):
+    """Packed layout of the automaton's states for R_n, size-checked.
+
+    Slots are bounded by f_(n+2), since every state counts distinct strings
+    of one length, up-degrees by n, and down-degrees by 2(n+2)/5, since a
+    block of weight d^2 is at least 5 long and one of weight d at least 3.
+    """
+    length = n + 2
+    layout = _Layout([n, 2 * length // 5], fibonacci(length))
+    # 24 live states: five lengths of F0 and F1, two of each Q, the three A
+    # states, and one step's new values before the windows move
+    need = 24 * layout.block * layout.width
+    if need > TRANSFER_MAX_BYTES:
+        raise ResourceLimitError(
+            "transfer census of R_%d needs about %d bytes of packed states, cap is %d"
+            % (n, need, TRANSFER_MAX_BYTES)
+        )
+    return layout
+
+
+def _transfer_pass(layout, length):
+    """Packed (F0, F1) at each length 0..length; the module docstring has the automaton."""
+    u = 8 * layout.width
+    d = u * layout.strides[1]
+    f0 = f1 = (0,) * 5  # F_f at lengths k-5 .. k-1
+    q0 = q1 = (0, 0)  # Q_f at lengths k-2, k-1
+    a00 = a01 = a1 = 0  # at length k-1
+    for k in range(length + 1):
+        nq0 = (f0[0] << 2 * d) + q0[0]
+        nq1 = (f1[0] << 2 * d) + q1[0]
+        a00, a01, a1 = (f0[2] << d) + nq0, (f1[2] << d) + nq1, a00 + ((a01 + a1) << u)
+        lead0 = int(k == 0)  # L0
+        lead1 = 1 << (u * max(k - 2, 0)) if k else 0  # L1 + L2
+        f0 = f0[1:] + (lead0 + a00 + a01,)
+        f1 = f1[1:] + (lead1 + a1,)
+        q0, q1 = (q0[1], nq0), (q1[1], nq1)
+        yield f0[-1], f1[-1]
+
+
+def transfer_census(n, cap=None):
+    """The (up, down) census of R_n from the run-level transfer automaton.
+
+    Same result and caps as `degree_census`, without a scan: one pass over
+    lengths 0..n+2 on packed states, keeping five lengths at a time.
+    """
+    total = _vertex_total(n, cap, streaming=True)
+    layout = _transfer_layout(n)
+    f0, f1 = deque(_transfer_pass(layout, n + 2), maxlen=1)[0]
+    census = DegreeCensus(n, layout.unpack(f0 + f1)[0])
+    if census.vertex_total() != total:
+        raise StructureError(
+            "transfer census of R_%d counts %d vertices, expected %d"
+            % (n, census.vertex_total(), total)
         )
     return census
 

@@ -73,10 +73,11 @@ def test_census_json(capsys):
     assert census["edges"] == 10
 
 
-def test_census_threads_flag(capsys):
-    code, payload = run_json(["census", "--n", "10", "--threads", "2"], capsys)
-    assert code == 0
-    assert payload["census"]["vertices"] == 144
+@pytest.mark.parametrize("flag", ["--threads", "--shards"])
+def test_census_has_no_thread_flags(flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["census", "--n", "4", flag, "2"])
+    assert exc.value.code == 2
 
 
 def test_gf_text_default_order(capsys):
@@ -110,6 +111,29 @@ GF_ORDER_60_SHA256 = {
     "maximal": "78adb6a2630bfe5dad42e67ecea4a099266a3347e364a88774b08fa570010d7f",
     "edge": "fc705e1bcd17f23a9499a52a6fa89fd09c2f36837f49879b23e69d63f2548d78",
 }
+# sha256 of `census --n K` as (text, JSON), recorded with the flip-scan census
+CENSUS_SHA256 = {
+    1: (
+        "d9b47b40b2d0ac4acdbcd132c995385725ef00fe646923466ca32cb98ab2a372",
+        "e9d86bf8873dcf0a680067d26c0c3a2783e5256a9fbdfaa36d6511d61945a2a6",
+    ),
+    2: (
+        "916d4c0ac688fc2477e99d52fe48b49ad987f6d22c18dfd8d208b4597f25558d",
+        "4d27271c575c35084d336e74159f9025463e50d65eecbfccb4916209fe073036",
+    ),
+    5: (
+        "b8c24a5970c062c8d2e9e28052e14c5759728882d646cd97cf45a1575d1742df",
+        "72947ca4b1cdba01c76e1d0fa5a76b4db35a99bc7b35c19aa84cff657e24e5eb",
+    ),
+    12: (
+        "dd660ea7cef60d012952a17593a9df3b8b62bacd39f24fbad27e3e2ae5c76c7a",
+        "e3f7a1b13c7c2d14e3d27ba64c3e77b5d4934af3893954b20305eb7bae6f28f2",
+    ),
+    30: (
+        "762f7e809adc5e22aa1ca9d411807f3eaf826e3fb626baf0880f63749a12aa7e",
+        "a7452ed24207ec5abb38129688e4f1b955bf77955ff783268b3bdd2e84cebc21",
+    ),
+}
 VERIFY_ALL_SHA256 = "a726cacbab47651d8a4214239573ad058247ce549f101adedd897f986f3d71e2"
 
 
@@ -122,6 +146,14 @@ def test_gf_json_is_pinned(capsys, kind):
     code, out, _ = run(["gf", "--kind", kind, "--order", "60", "--format", "json"], capsys)
     assert code == 0
     assert sha256(out) == GF_ORDER_60_SHA256[kind]
+
+
+@pytest.mark.parametrize("k", sorted(CENSUS_SHA256))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_census_output_is_pinned(capsys, k, fmt):
+    code, out, _ = run(["census", "--n", str(k), "--format", fmt], capsys)
+    assert code == 0
+    assert sha256(out) == CENSUS_SHA256[k][fmt == "json"]
 
 
 def test_verify_all_json_is_pinned(capsys):

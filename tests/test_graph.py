@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from goldens import EDGE_COUNTS, R4_CENSUS
-from runcube import graph, strings
+from runcube import enumerators, graph, strings
 from runcube.errors import DomainError, ResourceLimitError, StructureError, ValidationError
 
 
@@ -51,10 +51,57 @@ def test_census_agrees_with_build():
         assert census.counts == brute
 
 
-def test_census_sharding_and_threads_are_invisible():
-    base = graph.degree_census(12)
-    assert graph.degree_census(12, shards=7).counts == base.counts
-    assert graph.degree_census(12, threads=2).counts == base.counts
+def test_transfer_census_matches_the_flip_scan():
+    for n in range(1, 25):
+        assert graph.transfer_census(n).counts == graph.degree_census(n).counts
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_transfer_census_matches_string_flips(n):
+    # independent of both the flip-scan kernel and the packed layout
+    brute = {}
+    for word in strings.enumerate_rc(n + 2):
+        key = strings.flip_degrees(word)
+        brute[key] = brute.get(key, 0) + 1
+    assert graph.transfer_census(n).counts == brute
+
+
+def test_transfer_census_matches_the_closed_form_to_150():
+    closed = enumerators.updown_gf().expand(150)
+    # one pass yields every length k, and length k holds the census of R_(k-2)
+    layout = graph._transfer_layout(150)
+    for k, (f0, f1) in enumerate(graph._transfer_pass(layout, 152)):
+        if k >= 3:
+            assert layout.unpack(f0 + f1)[0] == closed.coefficient(k - 2).terms, k - 2
+    for n in (25, 60, 149, 150):
+        census = graph.transfer_census(n, cap=strings.fibonacci(n + 2))
+        assert census.counts == closed.coefficient(n).terms, n
+
+
+def test_transfer_census_keeps_the_stream_cap(monkeypatch):
+    for cap in (1000, None):
+        with pytest.raises(ResourceLimitError) as scan:
+            graph.degree_census(40, cap=cap)
+        with pytest.raises(ResourceLimitError) as transfer:
+            graph.transfer_census(40, cap=cap)
+        assert str(transfer.value) == str(scan.value)
+    # R_9 has f_11 = 89 vertices, R_8 has 55
+    monkeypatch.setenv("RUNCUBE_STREAM_CAP", "88")
+    with pytest.raises(ResourceLimitError, match="R_9 has 89 vertices, streaming cap is 88"):
+        graph.transfer_census(9)
+    assert graph.transfer_census(8).vertex_total() == 55
+
+
+def test_transfer_census_refuses_oversized_states_before_the_pass(monkeypatch):
+    monkeypatch.setattr(graph, "TRANSFER_MAX_BYTES", 1)
+    with pytest.raises(ResourceLimitError, match="packed states") as exc:
+        graph.transfer_census(30)
+    need = int(str(exc.value).split("about ")[1].split(" bytes")[0])
+    monkeypatch.setattr(graph, "TRANSFER_MAX_BYTES", need - 1)
+    with pytest.raises(ResourceLimitError, match="packed states"):
+        graph.transfer_census(30)
+    monkeypatch.setattr(graph, "TRANSFER_MAX_BYTES", need)
+    assert graph.transfer_census(30).vertex_total() == strings.fibonacci(32)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -64,35 +111,6 @@ def test_build_degrees_match_string_flips(n):
     for i in range(g.vertex_count):
         up, down = strings.flip_degrees(g.label_string(i) + "00")
         assert (int(g.up_degrees[i]), int(g.down_degrees[i])) == (up, down)
-
-
-def test_census_threads_are_clamped(monkeypatch):
-    pools = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(graph, "ThreadPoolExecutor", SerialPool)
-    base = graph.degree_census(8).counts
-    monkeypatch.setattr(graph.os, "cpu_count", lambda: 4)
-    assert graph.degree_census(8, shards=8, threads=10**6).counts == base
-    monkeypatch.setattr(graph.os, "cpu_count", lambda: 64)
-    assert graph.degree_census(8, shards=8, threads=10**6).counts == base
-    monkeypatch.setenv("RUNCUBE_THREADS", str(10**6))
-    assert graph.degree_census(8, shards=3).counts == base
-    monkeypatch.setattr(graph.os, "cpu_count", lambda: None)
-    assert graph.degree_census(8, shards=8, threads=10**6).counts == base
-    assert pools == [4, 8, 3]
 
 
 def test_masks_past_int64_are_refused(monkeypatch):

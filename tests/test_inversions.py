@@ -52,6 +52,15 @@ def test_q1_specialization():
     assert rep.ok, "\n".join(rep.failures)
 
 
+@pytest.mark.parametrize("order", [1, 2])
+def test_q1_specialization_checks_n_zero(monkeypatch, order):
+    # at every order the rank-polynomial comparison starts at n = 0
+    real = poset.rank_polynomial
+    monkeypatch.setattr(poset, "rank_polynomial", lambda n: real(n) + 1 if n == 0 else real(n))
+    rep = inv.q1_specialization_check(order=order)
+    assert "FAIL Q_(n+2) at q = 1 is the rank polynomial of R_n: mismatch at n=0" in rep.failures
+
+
 def test_q1_counts_by_weight():
     # at q = 1 the coefficient of x^k counts strings with k ones
     for n in range(1, 16):
