@@ -134,6 +134,31 @@ def _add_into(dst, terms, scale=1):
             del dst[e]
 
 
+def _map_monomials(terms, images, arity):
+    """Term dict of `terms` under variable images that are each c * monomial or 0.
+
+    Variable i goes to c_i * y^(m_i), so a term c * x^e goes to
+    c * prod(c_i^e_i) * y^(sum e_i m_i): one key per term.
+    """
+    rows = [next(iter(img.terms.items()), ((0,) * arity, 0)) for img in images]
+    cols = list(zip(*(m for m, _ in rows))) or [()] * arity
+    scaled = [(i, c) for i, (_, c) in enumerate(rows) if c != 1]
+    out = {}
+    for exps, c in terms.items():
+        for i, ci in scaled:
+            if exps[i]:
+                c *= ci ** exps[i]
+        if not c:
+            continue
+        key = tuple(sum(map(mul, exps, col)) for col in cols)
+        c += out.get(key, 0)
+        if c:
+            out[key] = c
+        else:
+            del out[key]
+    return out
+
+
 class MultiPoly:
     """Immutable exact polynomial with integer coefficients."""
 
@@ -218,16 +243,9 @@ class MultiPoly:
         if isinstance(replacement, int):
             replacement = self.ring.const(replacement)
         _check_same_ring(self, replacement)
-        i = self.ring.index_of(name)
-        powers = {0: self.ring.one()}
-        out = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e not in powers:
-                powers[e] = replacement ** e
-            stripped = exps[:i] + (0,) + exps[i + 1:]
-            _add_into(out, _mul_terms({stripped: c}, powers[e].terms))
-        return MultiPoly(self.ring, out)
+        # map_onto ignores names outside the source registry; this refuses them
+        self.ring.index_of(name)
+        return self.map_onto(self.ring, {name: replacement})
 
     def evaluate_at(self, name, value):
         """Specialize one variable to an integer."""
@@ -237,7 +255,10 @@ class MultiPoly:
         """Move to another registry, sending each variable to a target poly.
 
         Variables absent from `mapping` must exist under the same name in the
-        target registry and are carried across unchanged.
+        target registry and are carried across unchanged.  When every image
+        is c * monomial, an integer or 0, each term lands on one key: its
+        exponents combine linearly and its coefficient picks up c^e.  Other
+        images are expanded term by term.
         """
         images = []
         for name in self.ring.names:
@@ -250,6 +271,8 @@ class MultiPoly:
             else:
                 img = target.var(name)
             images.append(img)
+        if all(len(img.terms) <= 1 for img in images):
+            return MultiPoly(target, _map_monomials(self.terms, images, target.arity))
         out = {}
         cache = [dict() for _ in images]
         for exps, c in self.terms.items():

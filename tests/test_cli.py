@@ -135,6 +135,30 @@ CENSUS_SHA256 = {
     ),
 }
 VERIFY_ALL_SHA256 = "a726cacbab47651d8a4214239573ad058247ce549f101adedd897f986f3d71e2"
+# sha256 of `verify inv --order K` as (text, JSON), recorded with the dict
+# inversion recurrence and the substitution-based functional identity
+VERIFY_INV_SHA256 = {
+    1: (
+        "0c147d07c45a5cebece5541d275ceb3020dde0df918d0db85b663fcf749c5269",
+        "155cc8304c04e833ae2ba24ef4a553ffb962b134431b3593101265c1a0f1f554",
+    ),
+    2: (
+        "90d9674cecc45dafe1e3a63730451c0bb5c2228ae1f7fbaa70396c3dfdb8ada0",
+        "72fd7b02a5344bb8533c538692d235a75053da481e9adadd93c04d0777f1aab1",
+    ),
+    24: (
+        "9cad2e8231d260ed45fed4e6c70256c6c660a34e98cf4045dc3ad2335844b713",
+        "427d440bbeb6ce68f349d43dea5a90e9179c8c31abb9cb271e114259c75c24d0",
+    ),
+    40: (
+        "767b6bfbecf091910daaa0f21dd2ab4d28a850a9f06fea42e991441d3d942caf",
+        "52f0fc1a06222aeabb264d1adc9195ca323459d589db5f35d6d862df094e1ae7",
+    ),
+    60: (
+        "9cbbbac5aae18a3a1c8910d7c74a66531aa6db8d36b3d40a63522fc0e5f1a7f2",
+        "cd12c25499e07bb67b51512f429158182f334275642b07cf1011e8e8e9dad303",
+    ),
+}
 
 
 def sha256(text):
@@ -161,6 +185,14 @@ def test_verify_all_json_is_pinned(capsys):
     code, out, _ = run(argv, capsys)
     assert code == 1
     assert sha256(out) == VERIFY_ALL_SHA256
+
+
+@pytest.mark.parametrize("k", sorted(VERIFY_INV_SHA256))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_inv_output_is_pinned(capsys, k, fmt):
+    code, out, err = run(["verify", "inv", "--order", str(k), "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert sha256(out) == VERIFY_INV_SHA256[k][fmt == "json"]
 
 
 @pytest.mark.parametrize("argv", [["verify", "inv"], ["verify", "--all", "--max-n", "6"]])

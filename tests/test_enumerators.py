@@ -74,10 +74,13 @@ def test_case_census_covers_everything():
 
 def test_word_monomial_examples():
     ring = en.WORD_RING
-    assert en._word_monomial("aabbaa") == ring.monomial(1, x=4, y=2, alpha=3, beta=2)
-    assert en._word_monomial("aababbaaa") == ring.monomial(
-        1, x=6, y=3, alpha=5, beta=3
-    )
+    def monomial(word):
+        return ring.poly({en._word_exponents(word): 1})
+
+    assert monomial("aabbaa") == ring.monomial(1, x=4, y=2, alpha=3, beta=2)
+    assert monomial("aababbaaa") == ring.monomial(1, x=6, y=3, alpha=5, beta=3)
+    assert monomial("a") == ring.monomial(1, x=1)
+    assert monomial("") == ring.one()
 
 
 def test_word_sum_identities():

@@ -3,6 +3,7 @@ import pytest
 from runcube import inversions as inv
 from runcube import poset, strings
 from runcube.errors import ResourceLimitError
+from runcube.polyseries import MultiPoly
 
 
 def test_printed_tables():
@@ -89,3 +90,66 @@ def test_q_at_shifted_index_is_rank_polynomial():
 def test_enumeration_cap():
     with pytest.raises(ResourceLimitError):
         inv.q_polynomial(40, cap=1000)
+
+
+def test_scan_equals_packed_recurrence_through_80():
+    bits, scanned = inv._scanned_series(80)
+    assert (bits, scanned) == inv._packed_series(80)
+
+
+def test_scan_equals_enumeration_through_18():
+    bits, scanned = inv._scanned_series(18)
+    for n, slabs in enumerate(scanned):
+        assert MultiPoly(inv.XQ, inv._terms(slabs, bits)) == inv.q_polynomial(n)
+
+
+def test_reading_q_one_off_the_slabs():
+    bits, qs = inv._packed_series(30)
+    for n, slabs in enumerate(qs):
+        collapsed = inv.q_polynomial_recursive(n).evaluate_at("q", 1)
+        assert {(a, 0): c for a, c in inv._at_q_one(slabs, bits).items()} == collapsed.terms
+
+
+def test_functional_identity_catches_a_wrong_charge(monkeypatch):
+    # each 1 charged p - w + 1, one inversion too many; 100 at t^3 shows it first
+    def overcharge(slabs, p, bits):
+        return {w + 1: slab << bits * (p - w + 1) for w, slab in slabs.items()}
+
+    monkeypatch.setattr(inv, "_append_one", overcharge)
+    rep = inv.functional_identity_check(order=12)
+    assert rep.failures == ["FAIL functional identity through t^12: first difference at t^3"]
+
+
+def test_functional_identity_catches_a_wrong_substitution(monkeypatch):
+    # x -> x q^k instead of x -> x q^(k+1)
+    def letter_step(qs, n, bits):
+        out = {}
+        for k in range((n + 1) // 2):
+            for a, slab in qs[n - 1 - 2 * k].items():
+                out[a + k] = out.get(a + k, 0) + (slab << bits * k * a)
+        return out
+
+    monkeypatch.setattr(inv, "_letter_step", letter_step)
+    rep = inv.functional_identity_check(order=12)
+    assert rep.failures == ["FAIL functional identity through t^12: first difference at t^4"]
+
+
+@pytest.mark.parametrize("build", [inv.q_series, inv.functional_identity_check])
+def test_packed_slabs_are_sized_before_the_pass(monkeypatch, build):
+    monkeypatch.setattr(inv, "PACKED_MAX_BYTES", 1)
+    with pytest.raises(ResourceLimitError, match="packed slabs") as exc:
+        build(12)
+    need = int(str(exc.value).split("about ")[1].split(" bytes")[0])
+    monkeypatch.setattr(inv, "PACKED_MAX_BYTES", need - 1)
+    with pytest.raises(ResourceLimitError, match="packed slabs"):
+        build(12)
+    monkeypatch.setattr(inv, "PACKED_MAX_BYTES", need)
+    build(12)
+
+
+def test_verify_inv_order_over_the_slab_cap_is_usage_error(monkeypatch, capsys):
+    from runcube import cli
+
+    monkeypatch.setattr(inv, "PACKED_MAX_BYTES", 1000)
+    assert cli.main(["verify", "inv", "--order", "30"]) == 2
+    assert "packed slabs" in capsys.readouterr().err

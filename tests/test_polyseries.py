@@ -369,3 +369,122 @@ def test_expansions_multiply_back_to_numerator(gf):
     num = TruncatedSeries.from_terms(gf.ring, gf.numerator, order)
     den = TruncatedSeries.from_terms(gf.ring, gf.denominator, order)
     assert (s * den).agrees_with(num)
+
+
+# --- substitution kernel: map_onto, substitute and evaluate_at ----------------
+
+XY = Ring(("x", "y"))
+BIG = 1 << 70
+
+
+def naive_map(poly, target, images):
+    """Expand every term by repeated multiplication: the oracle for map_onto."""
+    out = target.zero()
+    for exps, c in poly.terms.items():
+        term = target.const(c)
+        for name, e in zip(poly.ring.names, exps):
+            for _ in range(e):
+                term = term * images[name]
+        out = out + term
+    return out
+
+
+def images(target):
+    """An image in `target`: an integer, c * monomial, or a general polynomial."""
+    coeff = st.sampled_from([1, -1, 2, -3, BIG, -BIG])
+    exps = st.tuples(*[st.integers(0, 3)] * target.arity)
+    return st.one_of(
+        st.sampled_from([0, 1, -1, 2, -5, BIG, -BIG]).map(target.const),
+        st.builds(lambda c, e: target.poly({e: c}), coeff, exps),
+        polys(ring=target, max_terms=3, max_exp=2, max_coeff=3),
+    )
+
+
+def no_zero_terms(poly):
+    return all(poly.terms.values())
+
+
+@given(polys(max_exp=3), images(XY), images(XY))
+@settings(max_examples=150)
+def test_map_onto_matches_naive_expansion(p, u_img, d_img):
+    got = p.map_onto(XY, {"u": u_img, "d": d_img})
+    assert got == naive_map(p, XY, {"u": u_img, "d": d_img})
+    assert no_zero_terms(got)
+
+
+@given(polys(max_exp=3), images(R2), st.sampled_from(R2.names))
+@settings(max_examples=150)
+def test_substitute_matches_naive_expansion(p, img, name):
+    got = p.substitute(name, img)
+    oracle = {n: R2.var(n) for n in R2.names}
+    oracle[name] = img
+    assert got == naive_map(p, R2, oracle)
+    assert no_zero_terms(got)
+
+
+@given(polys(max_exp=3), st.sampled_from([0, 1, -1, 2, BIG, -BIG]), st.sampled_from(R2.names))
+def test_evaluate_at_matches_naive_expansion(p, value, name):
+    oracle = {n: R2.var(n) for n in R2.names}
+    oracle[name] = R2.const(value)
+    got = p.evaluate_at(name, value)
+    assert got == naive_map(p, R2, oracle)
+    assert no_zero_terms(got)
+
+
+def test_monomial_images_cancel_terms():
+    u, d = R2.var("u"), R2.var("d")
+    x, y = XY.var("x"), XY.var("y")
+    p = u * d ** 2 - u ** 2 * d + 3 * u
+    assert p.map_onto(XY, {"u": x, "d": x}).terms == {(1, 0): 3}
+    assert (u + d).map_onto(XY, {"u": -BIG * y, "d": BIG * y}).terms == {}
+    assert (u * d - 2 * u).substitute("d", 2).terms == {}
+    assert (u - d).evaluate_at("u", 0) == -d
+
+
+def test_monomial_images_never_expand(monkeypatch):
+    from runcube import polyseries
+
+    def refuse(*args):
+        raise AssertionError("a monomial image took the expansion path")
+
+    u, d = R2.var("u"), R2.var("d")
+    p = (u + 2 * d + 1) ** 3
+    want_x = p.map_onto(XY, {"u": XY.var("x"), "d": -BIG * XY.var("x", 2)})
+    monkeypatch.setattr(polyseries, "_mul_terms", refuse)
+    assert p.map_onto(XY, {"u": XY.var("x"), "d": -BIG * XY.var("x", 2)}) == want_x
+    p.substitute("u", d)
+    p.evaluate_at("d", -1)
+
+
+def test_general_images_take_the_expansion_path(monkeypatch):
+    from runcube import polyseries
+
+    def refuse(*args):
+        raise AssertionError("a general image took the monomial path")
+
+    monkeypatch.setattr(polyseries, "_map_monomials", refuse)
+    u, d = R2.var("u"), R2.var("d")
+    assert (u ** 2 + 3 * d).substitute("u", d + 1) == d ** 2 + 5 * d + 1
+    with pytest.raises(AssertionError):
+        u.substitute("u", d)
+
+
+def test_substitution_errors_are_registry_errors():
+    u, d = R2.var("u"), R2.var("d")
+    p = u * d + 1
+    x = XY.var("x")
+    with pytest.raises(RegistryError):
+        p.substitute("z", d)
+    with pytest.raises(RegistryError):
+        p.substitute("u", x)
+    with pytest.raises(RegistryError):
+        p.evaluate_at("z", 1)
+    with pytest.raises(RegistryError):
+        p.map_onto(XY, {"u": x})
+    with pytest.raises(RegistryError):
+        p.map_onto(XY, {"u": x, "d": d})
+    s = TruncatedSeries.from_terms(R2, {0: 1, 1: u}, 3)
+    with pytest.raises(RegistryError):
+        s.substitute("z", d)
+    with pytest.raises(RegistryError):
+        s.evaluate_at("z", 1)
