@@ -158,8 +158,8 @@ def cmd_poset(args):
         if args.bottom is None or args.top is None:
             print("poset mobius needs --bottom and --top", file=sys.stderr)
             return 2
-        closed = poset.mobius(args.n, args.bottom, args.top)
-        recursive = poset.mobius_recursive(args.n, args.bottom, args.top)
+        closed = poset.mobius(args.n, args.bottom, args.top, cap=args.vertex_cap)
+        recursive = poset.mobius_recursive(args.n, args.bottom, args.top, cap=args.vertex_cap)
         if args.format == "json":
             _emit_json(
                 {
@@ -177,7 +177,7 @@ def cmd_poset(args):
             if closed != recursive:
                 print("note: the closed form is wrong on this pair")
         return 0
-    survey = poset.verify_boolean_intervals(args.n)
+    survey = poset.verify_boolean_intervals(args.n, cap=args.vertex_cap)
     if args.format == "json":
         _emit_json({"survey": survey})
     else:

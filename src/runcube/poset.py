@@ -18,14 +18,28 @@ then checked against first-principles computation, because both fail:
 
 mobius() computes the published closed form; mobius_recursive() is the
 defining recursion and serves as the oracle in mobius_check().
+
+One reachability kernel, `_reach`, answers every question: transitive
+closure by bitset union in topological order (Purdom, BIT 1970;
+Nuutila 1995).  One `graph._flip_scan` finds the edges among a sorted
+label array.  Bit k stands for the k-th label, and ascending masks are a
+topological order, so up[v] is bit v OR the up sets of v's
+up-neighbours, filled from the top down, and down[v] the mirror.  The
+interval [a, b] is up[a] & down[b], and mu(a, b) is -sum of mu(a, z)
+over its bits z other than b, walked upward.  The surveys run the kernel
+on all of R_n, the single-pair calls on the box a <= z <= b (as masks)
+of R_n's labels, which holds every chain from a to b.  R_n must fit the
+vertex cap, as in `graph.build`, and the bitsets, about 2 V^2 / 8 bytes
+for V vertices, REACH_MAX_BYTES; both are checked before any scan, and a
+survey checks its largest n before its first report.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
+import numpy as np
+
 from . import enumerators, graph, strings
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .polyseries import RationalGF, Ring, TruncatedSeries
 from .report import Report
 
@@ -63,10 +77,76 @@ def rank_gf():
     return RationalGF(X_RING, {1: 1 + x, 2: x}, {0: 1, 1: -1, 2: -x})
 
 
-@lru_cache(maxsize=None)
-def _member_masks(n):
-    """Set of full-string masks (length n + 2) of the vertices of R_n."""
-    return frozenset(int(m) for m in graph.rc_masks(n + 2))
+# the kernel refuses a vertex set whose two bitset tables, about 2 V^2 / 8
+# bytes for V vertices, would need more than this; R_19 is the largest
+# whole graph it takes
+REACH_MAX_BYTES = 1 << 25
+
+
+def _check_reach(n, nv):
+    need = 2 * nv * nv // 8
+    if need > REACH_MAX_BYTES:
+        raise ResourceLimitError(
+            "reachability on %d vertices of R_%d needs about %d bytes of bitsets, cap is %d"
+            % (nv, n, need, REACH_MAX_BYTES)
+        )
+
+
+def _refuse_oversized(n, cap=None):
+    """Raise before any work if R_n is over the vertex cap or the bitset cap."""
+    _check_reach(n, graph._vertex_total(n, cap))
+
+
+def _reach(n, labels):
+    """(masks, up, down) of `labels`, a sorted array of label masks.
+
+    masks holds their full-string masks, and bit k of the int bitsets up[v]
+    and down[v] stands for masks[k]: up[v] is what v reaches by valid
+    0 -> 1 flips, down[v] what reaches v, v included.
+    """
+    _check_reach(n, len(labels))
+    edges = []
+    graph._flip_scan(labels, labels, n, edges)
+    src, dst = (np.concatenate(side) for side in zip(*edges))
+    # a flip that adds a bit leads to a larger mask, so to a higher bit
+    arcs = sorted(zip(src[src < dst].tolist(), dst[src < dst].tolist()))
+    up = [1 << k for k in range(len(labels))]
+    down = up[:]
+    for lo, hi in reversed(arcs):
+        up[lo] |= up[hi]
+    for lo, hi in sorted(arcs, key=lambda arc: arc[1]):
+        down[hi] |= down[lo]
+    return [m << 2 for m in labels.tolist()], up, down
+
+
+def _whole(n, cap=None):
+    _refuse_oversized(n, cap)
+    return _reach(n, graph.vertex_labels(n))
+
+
+def _box(n, u, v, cap=None):
+    """_reach on the labels z of R_n with a <= z <= b as masks, and [a, b].
+
+    Returns (masks, up, down, members): masks[0] is a, masks[-1] is b and
+    members = up[0] & down[-1] is the interval's bitset; all are empty
+    when a is not contained in b.
+    """
+    graph._vertex_total(n, cap)
+    a = _to_mask(n, u) >> 2
+    b = _to_mask(n, v) >> 2
+    if a & ~b:
+        return [], [], [], 0
+    labels = graph.vertex_labels(n)
+    masks, up, down = _reach(n, labels[((labels & a) == a) & ((labels & ~b) == 0)])
+    return masks, up, down, up[0] & down[-1]
+
+
+def _bits(x):
+    """Indices of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def _to_mask(n, vertex):
@@ -79,7 +159,10 @@ def _to_mask(n, vertex):
         mask = strings.word_to_mask(vertex + "00")
     else:
         mask = int(vertex) << 2
-    if mask not in _member_masks(n):
+    full = n + 2
+    if not 0 <= mask < 1 << full or not strings.is_run_constrained(
+        strings.mask_to_word(mask, full)
+    ):
         raise ValidationError("not a vertex of R_%d: %r" % (n, vertex))
     return mask
 
@@ -88,187 +171,97 @@ def _to_label(n, mask):
     return strings.mask_to_word(mask >> 2, n)
 
 
-def _up_closure_within(n, start, box):
-    """Masks reachable from `start` by valid flips 0 -> 1 inside `box`."""
-    members = _member_masks(n)
-    free = box & ~start
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            todo = free & ~mask
-            while todo:
-                bit = todo & -todo
-                todo ^= bit
-                cand = mask | bit
-                if cand not in seen and cand in members:
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return seen
-
-
-def _down_closure_above(n, start, floor):
-    """Masks reachable from `start` by valid flips 1 -> 0 keeping `floor`."""
-    members = _member_masks(n)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            todo = mask & ~floor
-            while todo:
-                bit = todo & -todo
-                todo ^= bit
-                cand = mask ^ bit
-                if cand not in seen and cand in members:
-                    seen.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
-    return seen
-
-
-def _leq_masks(n, a, b):
-    if a & ~b:
-        return False
-    if a == b:
-        return True
-    return b in _up_closure_within(n, a, b)
-
-
-def leq(n, u, v):
+def leq(n, u, v, cap=None):
     """Whether a chain of valid single-bit additions leads from u to v."""
-    return _leq_masks(n, _to_mask(n, u), _to_mask(n, v))
+    return _box(n, u, v, cap)[3] != 0
 
 
-def _interval_masks(n, a, b):
-    if a & ~b:
-        return []
-    up = _up_closure_within(n, a, b)
-    if b not in up:
-        return []
-    down = _down_closure_above(n, b, a)
-    return sorted(up & down)
-
-
-def interval(n, u, v):
+def interval(n, u, v, cap=None):
     """All vertices on chains between u and v, as label strings."""
-    return [_to_label(n, m) for m in _interval_masks(n, _to_mask(n, u), _to_mask(n, v))]
+    masks, _, _, members = _box(n, u, v, cap)
+    return [_to_label(n, masks[k]) for k in _bits(members)]
 
 
-def mobius(n, u, v):
+def mobius(n, u, v, cap=None):
     """The published closed form: (-1)^(rank difference) on comparable pairs.
 
     This is the formula as stated; it disagrees with mobius_recursive
     from n = 5 onward.  See mobius_check for the survey.
     """
-    a = _to_mask(n, u)
-    b = _to_mask(n, v)
-    if not _leq_masks(n, a, b):
-        return 0
-    return -1 if (b ^ a).bit_count() % 2 else 1
-
-
-def mobius_recursive(n, u, v):
-    """Mobius function straight from its defining recursion."""
-    a = _to_mask(n, u)
-    b = _to_mask(n, v)
-    members = _interval_masks(n, a, b)
+    masks, _, _, members = _box(n, u, v, cap)
     if not members:
         return 0
-    return _mobius_on_interval(n, members)[b]
+    return -1 if (masks[-1] ^ masks[0]).bit_count() % 2 else 1
 
 
-def _mobius_on_interval(n, members):
-    """mu(bottom, w) for every w in an interval, bottom = members[0]."""
-    order = sorted(members, key=lambda m: (m.bit_count(), m))
-    below = {
-        w: [z for z in order if z != w and _leq_masks(n, z, w)] for w in order
-    }
-    mu = {order[0]: 1}
-    for w in order[1:]:
-        mu[w] = -sum(mu[z] for z in below[w])
+def mobius_recursive(n, u, v, cap=None):
+    """Mobius function straight from its defining recursion."""
+    masks, up, down, members = _box(n, u, v, cap)
+    if not members:
+        return 0
+    return _mobius_from(up, down, 0)[len(masks) - 1]
+
+
+def _mobius_from(up, down, i):
+    """{j: mu(i, j)} for every bit j of up[i]; the walk climbs, so each z is set before j."""
+    mu = {i: 1}
+    for j in _bits(up[i] ^ (1 << i)):
+        mu[j] = -sum(mu[z] for z in _bits((up[i] & down[j]) ^ (1 << j)))
     return mu
 
 
-@dataclass
-class IntervalViolation:
-    """An interval whose size is not 2^(rank difference)."""
-
-    bottom: str
-    top: str
-    rank_difference: int
-    expected_size: int
-    actual_size: int
-    first_missing: str
-
-    def to_json_dict(self):
-        return {
-            "bottom": self.bottom,
-            "top": self.top,
-            "rank_difference": self.rank_difference,
-            "expected_size": self.expected_size,
-            "actual_size": self.actual_size,
-            "first_missing": self.first_missing,
-        }
+def _index_pairs(masks, up):
+    """Bit pairs (i, j) with i <= j in the order, by (rank gap, mask i, mask j)."""
+    pairs = [(i, j) for i, above in enumerate(up) for j in _bits(above)]
+    # built in (a, b) order, so a stable sort on the gap gives (gap, a, b)
+    pairs.sort(key=lambda ij: (masks[ij[1]] ^ masks[ij[0]]).bit_count())
+    return pairs
 
 
 def _comparable_pairs(n):
     """All ordered pairs a <= b of full-string masks, smallest rank gap first."""
-    members = sorted(_member_masks(n))
-    pairs = []
-    for a in members:
-        for b in members:
-            if not (a & ~b) and _leq_masks(n, a, b):
-                pairs.append((a, b))
-    pairs.sort(key=lambda ab: ((ab[1] ^ ab[0]).bit_count(), ab[0], ab[1]))
-    return pairs
+    masks, up, _ = _whole(n)
+    return [(masks[i], masks[j]) for i, j in _index_pairs(masks, up)]
 
 
-def verify_boolean_intervals(n):
+def verify_boolean_intervals(n, cap=None):
     """Survey every interval of R_n against the Boolean-lattice claim.
 
     Returns {n, pairs_checked, violations}; a violation records the
     expected size 2^k, the actual size, and the smallest submask of the
     difference that fails to be a vertex on a chain.
     """
-    pairs = _comparable_pairs(n)
+    masks, up, down = _whole(n, cap)
+    index = {m: k for k, m in enumerate(masks)}
+    pairs = _index_pairs(masks, up)
     violations = []
-    for a, b in pairs:
-        k = (b ^ a).bit_count()
-        members = set(_interval_masks(n, a, b))
-        if len(members) == 1 << k:
-            continue
-        first_missing = ""
+    for i, j in pairs:
+        a, b = masks[i], masks[j]
+        members = up[i] & down[j]
         diff = b ^ a
-        bits = [diff & -diff]
-        rest = diff ^ bits[0]
-        while rest:
-            bits.append(rest & -rest)
-            rest ^= bits[-1]
-        for pick in range(1 << len(bits)):
-            cand = a
-            for i, bit in enumerate(bits):
-                if pick >> i & 1:
-                    cand |= bit
-            if cand not in members:
-                first_missing = _to_label(n, cand)
-                break
+        k = diff.bit_count()
+        if members.bit_count() == 1 << k:
+            continue
+        # (sub - diff) & diff steps through the submasks of diff in increasing order
+        sub = 0
+        while (a | sub) in index and (members >> index[a | sub]) & 1:
+            sub = (sub - diff) & diff
         violations.append(
-            IntervalViolation(
-                _to_label(n, a), _to_label(n, b), k, 1 << k, len(members), first_missing
-            )
+            {
+                "bottom": _to_label(n, a),
+                "top": _to_label(n, b),
+                "rank_difference": k,
+                "expected_size": 1 << k,
+                "actual_size": members.bit_count(),
+                "first_missing": _to_label(n, a | sub),
+            }
         )
-    return {
-        "n": n,
-        "pairs_checked": len(pairs),
-        "violations": [v.to_json_dict() for v in violations],
-    }
+    return {"n": n, "pairs_checked": len(pairs), "violations": violations}
 
 
 def interval_check(n_max=8):
     """Boolean-interval claim survey; fails from n = 5 with counterexamples."""
+    _refuse_oversized(n_max)
     report = Report("Boolean-interval claim")
     for n in range(1, n_max + 1):
         survey = verify_boolean_intervals(n)
@@ -290,12 +283,15 @@ def interval_check(n_max=8):
 
 def mobius_check(n_max=8):
     """Closed-form Mobius values against the defining recursion."""
+    _refuse_oversized(n_max)
     report = Report("Mobius closed form")
     for n in range(1, n_max + 1):
+        masks, up, down = _whole(n)
+        mus = [_mobius_from(up, down, i) for i in range(len(masks))]
         mismatches = []
-        for a, b in _comparable_pairs(n):
-            members = _interval_masks(n, a, b)
-            got = _mobius_on_interval(n, members)[b]
+        for i, j in _index_pairs(masks, up):
+            a, b = masks[i], masks[j]
+            got = mus[i][j]
             want = -1 if (b ^ a).bit_count() % 2 else 1
             if got != want:
                 mismatches.append((a, b, got, want))
@@ -362,6 +358,7 @@ def maximal_gf_check(order=30, brute_max=20):
 def suite(max_n=None, order=None):
     """The poset reports through R_max_n (default 8); no check takes an order."""
     max_n = 8 if max_n is None else max_n
+    _refuse_oversized(max_n)
     return [
         rank_check(n_max=max(max_n, 8)),
         interval_check(n_max=max_n),

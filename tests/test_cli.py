@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from runcube import cli
+from runcube import cli, poset
 
 
 def run(args, capsys):
@@ -159,6 +159,45 @@ VERIFY_INV_SHA256 = {
         "cd12c25499e07bb67b51512f429158182f334275642b07cf1011e8e8e9dad303",
     ),
 }
+# sha256 of poset output as (text, JSON), recorded with the per-pair closure
+# code that preceded the reachability bitsets: `poset intervals --n K`,
+# `poset mobius` on (n, bottom, top), and `verify poset --max-n 12`
+POSET_INTERVALS_SHA256 = {
+    1: (
+        "1d45f41536eaae53ed7a7dfd4d5ce4d4862d82b944e73ad03746ee575ee80886",
+        "cad8980ee12f4579b941e37eee49a392165c80ca83ab77db5f26798e7bad1bb5",
+    ),
+    5: (
+        "0760d80812d91df96dab50a5fa7a6846354edd881d3a09fd29765fa2ee4e509f",
+        "9f63362928a60a85bd40e04abde1169403b86986885256cc950e7e10580b21f9",
+    ),
+    8: (
+        "0eba75eea7062adb6a0e0bd16f0163ab9fc68542b610ead378027082557e99a6",
+        "f7416623f59320f5862978f71b2dde3041b6d5a9168f424d32ae9d0a444747ab",
+    ),
+    12: (
+        "e30b402065cfb9732ea2ff0186c8e2edcbfb33428f4c46e6e7949590e76958f0",
+        "2828abf9b157a08d2d2f3136b3519612be099b9abb9498b806896610b5e58bb2",
+    ),
+}
+POSET_MOBIUS_SHA256 = {
+    (5, "00100", "11100"): (
+        "298c4ef7cb94fc613c14f268302a3fa352225203baf72c7369a04c17f83e598c",
+        "6f20103e29de7c6cf1a26b5606c0bec20db1de1fcb8fe9f4e3b8d5f76509e18c",
+    ),
+    (5, "00000", "11100"): (
+        "c47bd2c28f5e7d33acbf57dd9a19fc89b321e851506cedcc1c195f1a5c1e2bff",
+        "fd30497533be7a5462d6c232432f8b772ae85f3b06d7468d5c8fc3d281da592f",
+    ),
+    (6, "000000", "110001"): (
+        "80add76972ece125e4849443e159b32483f29aeb8a2c83d765ba3359ed6151d1",
+        "a6cb1e6a14826e457752fa60838aabc916853bacd3d37463e540a114816695b7",
+    ),
+}
+VERIFY_POSET_12_SHA256 = (
+    "e3134b9a303565d382c3d99e768a0dd57754df5c61484268e06514f7bcfeb6a3",
+    "7bdcb8e88dba40de586ac85caeda2ba99ae4209dff701dcea8d002f037dc2f3c",
+)
 
 
 def sha256(text):
@@ -193,6 +232,31 @@ def test_verify_inv_output_is_pinned(capsys, k, fmt):
     code, out, err = run(["verify", "inv", "--order", str(k), "--format", fmt], capsys)
     assert (code, err) == (0, "")
     assert sha256(out) == VERIFY_INV_SHA256[k][fmt == "json"]
+
+
+@pytest.mark.parametrize("k", sorted(POSET_INTERVALS_SHA256))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_poset_intervals_output_is_pinned(capsys, k, fmt):
+    code, out, err = run(["poset", "intervals", "--n", str(k), "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert sha256(out) == POSET_INTERVALS_SHA256[k][fmt == "json"]
+
+
+@pytest.mark.parametrize("pair", sorted(POSET_MOBIUS_SHA256))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_poset_mobius_output_is_pinned(capsys, pair, fmt):
+    n, bottom, top = pair
+    argv = ["poset", "mobius", "--n", str(n), "--bottom", bottom, "--top", top, "--format", fmt]
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert sha256(out) == POSET_MOBIUS_SHA256[pair][fmt == "json"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_poset_output_is_pinned(capsys, fmt):
+    code, out, err = run(["verify", "poset", "--max-n", "12", "--format", fmt], capsys)
+    assert (code, err) == (1, "")
+    assert sha256(out) == VERIFY_POSET_12_SHA256[fmt == "json"]
 
 
 @pytest.mark.parametrize("argv", [["verify", "inv"], ["verify", "--all", "--max-n", "6"]])
@@ -277,6 +341,44 @@ def test_poset_bad_vertex_is_usage_error(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poset", "mobius", "--n", "5", "--bottom", "00100", "--top", "11100"],
+        ["poset", "intervals", "--n", "5"],
+    ],
+)
+@pytest.mark.parametrize("by_env", [False, True])
+def test_poset_actions_honour_the_vertex_cap(monkeypatch, capsys, argv, by_env):
+    if by_env:
+        monkeypatch.setenv("RUNCUBE_VERTEX_CAP", "3")
+        cap = []
+    else:
+        cap = ["--vertex-cap", "3"]
+    refused = run(["graph", "--n", "5"] + cap, capsys)
+    assert refused == (2, "", "error: R_5 has 13 vertices, explicit cap is 3\n")
+    assert run(argv + cap, capsys) == refused
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["verify", "poset", "--max-n", "30"], "R_30 has 2178309 vertices, explicit cap is 2000000"),
+        (["verify", "poset", "--max-n", "25"], "reachability on 196418 vertices of R_25"),
+        (["poset", "intervals", "--n", "25"], "reachability on 196418 vertices of R_25"),
+    ],
+)
+def test_oversized_poset_work_is_refused_before_it_starts(monkeypatch, capsys, argv, reason):
+    def never(*args, **kwargs):
+        raise AssertionError("a poset check ran before the caps were checked")
+
+    for name in ("rank_check", "interval_check", "mobius_check", "maximal_gf_check", "_reach"):
+        monkeypatch.setattr(poset, name, never)
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + reason)
 
 
 def test_inv_show(capsys):

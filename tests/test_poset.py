@@ -2,7 +2,87 @@ import pytest
 
 from goldens import POSET_PAIRS, POSET_VIOLATIONS
 from runcube import graph, poset, strings
-from runcube.errors import ValidationError
+from runcube.errors import ResourceLimitError, ValidationError
+
+
+# The brute oracle: the per-pair closures that answered the poset before the
+# reachability bitsets, over the set of full-string masks of R_n.
+
+
+def _members(n):
+    return {int(m) for m in strings.rc_masks(n + 2)}
+
+
+def _up_closure_within(members, start, box):
+    """Masks reachable from `start` by valid flips 0 -> 1 inside `box`."""
+    free = box & ~start
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for mask in frontier:
+            todo = free & ~mask
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                cand = mask | bit
+                if cand not in seen and cand in members:
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return seen
+
+
+def _down_closure_above(members, start, floor):
+    """Masks reachable from `start` by valid flips 1 -> 0 keeping `floor`."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for mask in frontier:
+            todo = mask & ~floor
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                cand = mask ^ bit
+                if cand not in seen and cand in members:
+                    seen.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return seen
+
+
+def _interval_masks(members, a, b):
+    if a & ~b:
+        return []
+    up = _up_closure_within(members, a, b)
+    if b not in up:
+        return []
+    return sorted(up & _down_closure_above(members, b, a))
+
+
+def _mobius_on_interval(members, interval):
+    """mu(bottom, w) for every w in an interval, bottom = interval[0]."""
+    order = sorted(interval, key=lambda m: (m.bit_count(), m))
+    mu = {order[0]: 1}
+    for w in order[1:]:
+        below = [z for z in order if z != w and w in _up_closure_within(members, z, w)]
+        mu[w] = -sum(mu[z] for z in below)
+    return mu
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_single_pair_api_matches_the_closure_oracle(n):
+    members = _members(n)
+    vertices = sorted(members)
+    for a in vertices:
+        for b in vertices:
+            want = _interval_masks(members, a, b)
+            u, v = a >> 2, b >> 2
+            assert poset.leq(n, u, v) is bool(want)
+            assert poset.interval(n, u, v) == [poset._to_label(n, m) for m in want]
+            mu = _mobius_on_interval(members, want)[b] if want else 0
+            assert poset.mobius_recursive(n, u, v) == mu
 
 
 def test_rank_polynomial_formula_vs_census():
@@ -68,7 +148,7 @@ def test_interval_that_is_a_genuine_cube():
 
 
 def test_boolean_interval_survey_frozen_counts():
-    for n in range(1, 9):
+    for n in sorted(POSET_PAIRS):
         survey = poset.verify_boolean_intervals(n)
         assert survey["pairs_checked"] == POSET_PAIRS[n]
         assert len(survey["violations"]) == POSET_VIOLATIONS[n]
@@ -120,3 +200,29 @@ def test_interval_and_mobius_reports_fail_honestly():
     rep = poset.mobius_check(n_max=6)
     assert not rep.ok
     assert any("00100" in line for line in rep.failures)
+
+
+# slack None sets the cap to 1 byte, otherwise to the bytes needed plus slack
+@pytest.mark.parametrize("slack", [None, -1, 0], ids=["one", "need-1", "need"])
+@pytest.mark.parametrize(
+    "call, nv",
+    [
+        (lambda: poset.verify_boolean_intervals(6), 21),
+        (lambda: poset.mobius_check(6), 21),
+        (lambda: poset.interval(6, "000000", "110001"), 8),
+    ],
+    ids=["survey", "mobius_check", "box"],
+)
+def test_reach_cap_refuses_before_the_flip_scan(monkeypatch, slack, call, nv):
+    need = 2 * nv * nv // 8
+    monkeypatch.setattr(poset, "REACH_MAX_BYTES", 1 if slack is None else need + slack)
+    scans = []
+    flip_scan = graph._flip_scan
+    monkeypatch.setattr(graph, "_flip_scan", lambda *args: scans.append(1) or flip_scan(*args))
+    if slack == 0:
+        call()
+        assert scans
+    else:
+        with pytest.raises(ResourceLimitError, match="needs about %d bytes" % need):
+            call()
+        assert scans == []
