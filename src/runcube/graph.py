@@ -9,8 +9,11 @@ label + "00").  |V(R_n)| is the Fibonacci number f_{n+2}.
 Vertex labels are kept as sorted int64 bitmasks (most significant bit =
 first character), which lets adjacency and degree scans run as vectorized
 flip-and-binary-search passes instead of pairwise comparisons.  One kernel,
-`_flip_scan`, makes those passes for `build`, `degree_census` and
-`maximal_vertices`.
+`_flip_scan`, makes those passes for `build` (and `poset`'s reachability),
+for the brute census `degree_census`, and for `_maximal_by_flip_scan`, the
+oracle of `maximal_vertices`.  `build` fills its CSR rows without a sort,
+since down-neighbours by falling bit, then up-neighbours by rising bit,
+come in ascending label order.
 
 Distances come from one bit-parallel BFS kernel, `bfs_levels`, after
 Then et al., "The More the Merrier: Efficient Multi-Source Graph
@@ -46,9 +49,15 @@ one Kronecker-packed int (`polyseries._Layout`), so a factor u^a d^b is a
 shift and a sum of states a bigint add; only the last five lengths are
 kept.  The flip scan stays as the brute oracle (`degree_census`, used by
 `census_check`, `edge_count` and the tests).
+
+The same rule gives the maximal vertices, those with up-degree 0, without
+a scan: the leading run has z0 <= 2, every block has slack s <= 1, and no
+two adjacent zero runs both have slack 1 (the leading run counting as
+slack 1 when z0 >= 1).  `maximal_vertices` builds exactly those strings,
+bottom up like `strings.rc_masks`, so its work grows with its output.
 """
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +65,14 @@ import numpy as np
 from . import config
 from .errors import DomainError, ResourceLimitError, StructureError, ValidationError
 from .polyseries import _Layout
-from .strings import fibonacci, is_run_constrained, mask_to_word, rc_masks, word_to_mask
+from .strings import (
+    _require_int64,
+    fibonacci,
+    is_run_constrained,
+    mask_to_word,
+    rc_masks,
+    word_to_mask,
+)
 
 
 def vertex_labels(n):
@@ -64,6 +80,12 @@ def vertex_labels(n):
     if n < 1:
         raise DomainError("n must be at least 1")
     return rc_masks(n + 2) >> np.int64(2)
+
+
+def _words(masks, n):
+    """The n-character bit strings of an array of label masks."""
+    fmt = "0%db" % n
+    return [format(m, fmt) for m in masks.tolist()]
 
 
 def _require_label(n, label):
@@ -164,29 +186,37 @@ class FibRunGraph:
 
     def edges(self):
         """Sorted (i, j) pairs with i < j, each edge once."""
-        out = []
-        for i in range(self.vertex_count):
-            for j in self.neighbors(i):
-                if i < j:
-                    out.append((i, int(j)))
-        return out
+        rows = np.repeat(np.arange(self.vertex_count), np.diff(self.indptr))
+        keep = rows < self.indices
+        return list(zip(rows[keep].tolist(), self.indices[keep].tolist()))
 
 
 def build(n, cap=None):
     """Materialize R_n explicitly; capped by the vertex limit."""
     total = _vertex_total(n, cap)
     labels = vertex_labels(n)
-    nv = len(labels)
     edges = []
     ups, downs = _flip_scan(labels, labels, n, edges)
-    src, dst = (np.concatenate(side) for side in zip(*edges))
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
-    indptr = np.zeros(nv + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    indptr = np.cumsum(indptr)
-    graph = FibRunGraph(n, labels, indptr, dst.astype(np.int64), ups, downs)
+    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+    np.cumsum(ups + downs, dtype=np.int64, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    cursor = indptr[:-1].copy()
+
+    def fill(scans, side):
+        for idx, pos in scans:
+            hit = side(pos, idx)
+            rows = idx[hit]
+            at = cursor[rows]
+            indices[at] = pos[hit]
+            cursor[rows] = at + 1
+
+    # a down-flip leads to a smaller label, the smaller the higher its bit,
+    # and an up-flip to a larger one, the larger the higher its bit: down-
+    # flips by falling bit, then up-flips by rising bit, fill each row in
+    # ascending order
+    fill(reversed(edges), np.less)
+    fill(edges, np.greater)
+    graph = FibRunGraph(n, labels, indptr, indices, ups, downs)
     if graph.vertex_count != total:
         raise StructureError(
             "R_%d built with %d vertices, expected %d" % (n, graph.vertex_count, total)
@@ -416,12 +446,50 @@ def radius(graph):
     return int(_eccentricities(graph).min())
 
 
+def _maximal_masks(length):
+    """Ascending masks of the run-constrained strings of a length with no up-flip.
+
+    tail[L][f] holds the block sequences of length L that may follow a zero
+    run of slack class f (0, or 1 for slack >= 1), ascending.  A block
+    1^r 0^(r+1+s) has s <= 1, and s = 0 after slack class 1; its masks
+    grow with r and, at one r, s = 1 puts a 0 where s = 0 has the next
+    block's leading 1.  So blocks emitted by r ascending, then s descending,
+    give ascending masks, as do leading runs z0 = 2, 1, 0 in front.
+    """
+    _require_int64(length)
+    empty = np.zeros(0, dtype=np.int64)
+    tail = [[np.zeros(1, dtype=np.int64)] * 2]
+    for L in range(1, length + 1):
+        row = []
+        for f in (0, 1):
+            parts = []
+            for r in range(1, (L - 1) // 2 + 1):
+                for s in (0,) if f else (1, 0):
+                    rest = L - 2 * r - 1 - s
+                    if rest >= 0:
+                        head = ((1 << r) - 1) << (r + 1 + s + rest)
+                        parts.append(np.int64(head) + tail[rest][s])
+            row.append(np.concatenate(parts) if parts else empty)
+        tail.append(row)
+    return np.concatenate([tail[length - z0][min(z0, 1)] for z0 in (2, 1, 0) if z0 <= length])
+
+
 def maximal_vertices(n, cap=None):
-    """Labels with up-degree zero, ascending (the poset's maximal elements)."""
+    """Labels with up-degree zero, ascending (the poset's maximal elements).
+
+    Enumerated from the run rule in the module docstring, without a scan;
+    R_n must still fit the streaming cap, as it did for the flip scan.
+    """
+    _vertex_total(n, cap, streaming=True)
+    return _words(_maximal_masks(n + 2) >> np.int64(2), n)
+
+
+def _maximal_by_flip_scan(n, cap=None):
+    """maximal_vertices by a flip scan of all of R_n: the brute oracle."""
     _vertex_total(n, cap, streaming=True)
     labels = vertex_labels(n)
     ups, _ = _flip_scan(labels, labels, n)
-    return [mask_to_word(int(m), n) for m in labels[ups == 0]]
+    return _words(labels[ups == 0], n)
 
 
 def count_induced_cubes(n, cap=None):
@@ -471,23 +539,19 @@ def count_induced_cubes(n, cap=None):
 
 def to_dot(graph):
     """DOT text for the undirected graph, labels as bit strings."""
+    words = _words(graph.labels, graph.n)
     lines = ["graph R_%d {" % graph.n]
-    for i in range(graph.vertex_count):
-        lines.append('  "%s";' % graph.label_string(i))
-    for i, j in graph.edges():
-        lines.append('  "%s" -- "%s";' % (graph.label_string(i), graph.label_string(j)))
+    lines.extend('  "%s";' % w for w in words)
+    lines.extend('  "%s" -- "%s";' % (words[i], words[j]) for i, j in graph.edges())
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_json(graph):
-    census = {}
-    for a, b in zip(graph.up_degrees, graph.down_degrees):
-        key = (int(a), int(b))
-        census[key] = census.get(key, 0) + 1
+    census = Counter(zip(graph.up_degrees.tolist(), graph.down_degrees.tolist()))
     return {
         "n": graph.n,
-        "vertices": [graph.label_string(i) for i in range(graph.vertex_count)],
+        "vertices": _words(graph.labels, graph.n),
         "edges": [[i, j] for i, j in graph.edges()],
         "census": [[a, b, c] for (a, b), c in sorted(census.items())],
     }

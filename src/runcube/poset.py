@@ -337,7 +337,7 @@ def maximal_gf_check(order=30, brute_max=20):
     report = Report("maximal vertices")
     counts = enumerators.maximal_gf().expand(order).integer_coefficients()
     for n in range(1, min(brute_max, order) + 1):
-        brute = graph.maximal_vertices(n)
+        brute = graph._maximal_by_flip_scan(n)
         if len(brute) != counts[n]:
             report.add(
                 "GF counts maximal vertices through n=%d" % min(brute_max, order),

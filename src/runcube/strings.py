@@ -176,6 +176,12 @@ def fibonacci(k):
     return a
 
 
+def _require_int64(length):
+    """Raise DomainError unless masks of this length fit in int64."""
+    if length >= 64:
+        raise DomainError("masks of length %d do not fit in int64" % length)
+
+
 def rc_masks(length):
     """Sorted int64 masks of all run-constrained strings of a length.
 
@@ -186,8 +192,7 @@ def rc_masks(length):
     """
     if length < 0:
         raise DomainError("length must be nonnegative")
-    if length >= 64:
-        raise DomainError("masks of length %d do not fit in int64" % length)
+    _require_int64(length)
     levels = [np.zeros(1, dtype=np.int64)]
     for L in range(1, length + 1):
         parts = [levels[L - 1]]

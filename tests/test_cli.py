@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from runcube import cli, poset
+from runcube import cli, graph, poset, strings
 
 
 def run(args, capsys):
@@ -198,6 +198,49 @@ VERIFY_POSET_12_SHA256 = (
     "e3134b9a303565d382c3d99e768a0dd57754df5c61484268e06514f7bcfeb6a3",
     "7bdcb8e88dba40de586ac85caeda2ba99ae4209dff701dcea8d002f037dc2f3c",
 )
+# sha256 of `poset maximal --n K` as (text, JSON) and of `graph --n K` as
+# (text, JSON, dot), recorded with the flip-scan maximal vertices and the
+# lexsort CSR build that preceded the run-rule enumerator and the cursor fill
+POSET_MAXIMAL_SHA256 = {
+    1: (
+        "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+        "8b77c61ee51abf7b92f1cf84b014d1263c50082b36932ed136a196e66f896922",
+    ),
+    5: (
+        "2f0c6507d62fc6975464f7aa5363a2fbaae02981029c86f4f1a5c619975ecdfb",
+        "0338ca92c013220a2646ae1abb61bb05e58db53c4a52db5ecca023bdb3999319",
+    ),
+    12: (
+        "7214b28aa9ecdc1078be82219dfb3c6bf107a73e39ba0bafde97d4e440a62243",
+        "bc29b2a5c0c4e74c1222797aab8582c9749bac4eeda4a2ac99a46a1efabbfe73",
+    ),
+    20: (
+        "28ed2763be359ad73345c9dc19e80295b62943ead01e30414a24aa1fdf3c94a6",
+        "f50c4b3415362ba0c9f1fd1dce6ff01b6e69fdfc58ac43ec33ad65b970768c4f",
+    ),
+    27: (
+        "6a745b549cfe28ec117c385428d5291d0756403ac46f40542872b44e1260ca2a",
+        "28ff9899b25d78f2569c17bdd733f59304175d554a5d61cfbd3c25768b46193c",
+    ),
+}
+GRAPH_FORMATS = ("text", "json", "dot")
+GRAPH_SHA256 = {
+    1: (
+        "f05188f14af5101302f454122db960f447131322724d9f8b55d02be6001ce40e",
+        "cc8428433f13b70aeb4db2007a213a958364f54c65c5f4ce820a8dfd9452a58a",
+        "6af0c46493123c560397a5d1879303f653788fcad1fa3fde732752fab7b248ca",
+    ),
+    6: (
+        "b066ffd9282d6523ff7e82834e9835cecd61ee8e4f137ecd66a8c911da3f098f",
+        "0d2d3bf080bb1185409d95765e368ec64bf67d59a3f36a5c184762ea27334333",
+        "d87aefaa4b7463bd8a74a85fafd14652d3e61595107e91f8009c938d486b9b09",
+    ),
+    12: (
+        "4da80c0da43d84db6f6e55696c99dd56601514dcad31aee74356e5e3ad0135d6",
+        "a0bfc0301b7bb08bff97f04640d89cbc0941c8519bef8a698d33cc048b284475",
+        "5bdeb610aba6a9a2884154548d524806170611fb3941cf5db34deeb5abb0a62a",
+    ),
+}
 
 
 def sha256(text):
@@ -257,6 +300,22 @@ def test_verify_poset_output_is_pinned(capsys, fmt):
     code, out, err = run(["verify", "poset", "--max-n", "12", "--format", fmt], capsys)
     assert (code, err) == (1, "")
     assert sha256(out) == VERIFY_POSET_12_SHA256[fmt == "json"]
+
+
+@pytest.mark.parametrize("k", sorted(POSET_MAXIMAL_SHA256))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_poset_maximal_output_is_pinned(capsys, k, fmt):
+    code, out, err = run(["poset", "maximal", "--n", str(k), "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert sha256(out) == POSET_MAXIMAL_SHA256[k][fmt == "json"]
+
+
+@pytest.mark.parametrize("k", sorted(GRAPH_SHA256))
+@pytest.mark.parametrize("fmt", GRAPH_FORMATS)
+def test_graph_output_is_pinned(capsys, k, fmt):
+    code, out, err = run(["graph", "--n", str(k), "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert sha256(out) == GRAPH_SHA256[k][GRAPH_FORMATS.index(fmt)]
 
 
 @pytest.mark.parametrize("argv", [["verify", "inv"], ["verify", "--all", "--max-n", "6"]])
@@ -360,6 +419,59 @@ def test_poset_actions_honour_the_vertex_cap(monkeypatch, capsys, argv, by_env):
     refused = run(["graph", "--n", "5"] + cap, capsys)
     assert refused == (2, "", "error: R_5 has 13 vertices, explicit cap is 3\n")
     assert run(argv + cap, capsys) == refused
+
+
+@pytest.mark.parametrize(
+    "argv, variable, kind",
+    [
+        (["poset", "maximal"], "RUNCUBE_STREAM_CAP", "streaming"),
+        (["graph"], "RUNCUBE_VERTEX_CAP", "explicit"),
+    ],
+)
+@pytest.mark.parametrize("by_env", [False, True])
+def test_maximal_and_graph_refuse_past_their_caps(
+    monkeypatch, capsys, argv, variable, kind, by_env
+):
+    # R_9 has f_11 = 89 vertices, R_8 has 55
+    if by_env:
+        monkeypatch.setenv(variable, "88")
+        cap = []
+    else:
+        cap = ["--vertex-cap", "88"]
+    refused = "error: R_9 has 89 vertices, %s cap is 88\n" % kind
+    assert run(argv + ["--n", "9"] + cap, capsys) == (2, "", refused)
+    code, out, err = run(argv + ["--n", "8"] + cap, capsys)
+    assert (code, err) == (0, "") and out
+
+
+HUGE = str(10**30)
+NO_INT64 = "masks of length 64 do not fit in int64"
+
+
+@pytest.mark.parametrize(
+    "argv, env, message",
+    [
+        (["poset", "maximal", "--n", "40"], {}, "R_40 has 267914296 vertices, streaming cap is 50000000"),
+        (["graph", "--n", "40"], {}, "R_40 has 267914296 vertices, explicit cap is 2000000"),
+        (
+            ["poset", "maximal", "--n", "5"],
+            {"RUNCUBE_STREAM_CAP": "abc"},
+            "RUNCUBE_STREAM_CAP must be an integer, got 'abc'",
+        ),
+        (["poset", "maximal", "--n", "62", "--vertex-cap", HUGE], {}, NO_INT64),
+        (["graph", "--n", "62", "--vertex-cap", HUGE], {}, NO_INT64),
+    ],
+)
+def test_maximal_and_graph_refusals_come_before_any_work(monkeypatch, capsys, argv, env, message):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError("an array was built before the input was refused")
+
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(graph, "np", NoNumpy())
+    monkeypatch.setattr(strings, "np", NoNumpy())
+    assert run(argv, capsys) == (2, "", "error: %s\n" % message)
 
 
 @pytest.mark.parametrize(

@@ -270,6 +270,50 @@ def test_maximal_vertices_have_no_up_flips():
             assert up > 0
 
 
+def test_maximal_vertices_match_the_flip_scan():
+    for n in range(1, 25):
+        assert graph.maximal_vertices(n) == graph._maximal_by_flip_scan(n), n
+
+
+def test_maximal_vertex_counts_match_the_gf_to_30():
+    counts = enumerators.maximal_gf().expand(30).integer_coefficients()
+    for n in range(1, 31):
+        assert len(graph.maximal_vertices(n)) == counts[n], n
+
+
+def test_maximal_gf_counts_the_up_degree_zero_census_to_150():
+    counts = enumerators.maximal_gf().expand(150).integer_coefficients()
+    layout = graph._transfer_layout(150)
+    for k, (f0, f1) in enumerate(graph._transfer_pass(layout, 152)):
+        if k >= 3:
+            census = layout.unpack(f0 + f1)[0]
+            assert sum(c for (u, _), c in census.items() if u == 0) == counts[k - 2], k - 2
+
+
+def lexsort_csr(n):
+    """R_n's CSR as build made it before the cursor fill: sort the flip-scan hits."""
+    labels = graph.vertex_labels(n)
+    edges = []
+    graph._flip_scan(labels, labels, n, edges)
+    src, dst = (np.concatenate(side) for side in zip(*edges))
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+    np.add.at(indptr, src[order] + 1, 1)
+    return np.cumsum(indptr), dst[order].astype(np.int64)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_build_csr_matches_the_lexsort_oracle(n):
+    g = graph.build(n)
+    indptr, indices = lexsort_csr(n)
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    assert np.array_equal(g.indptr, indptr)
+    assert np.array_equal(g.indices, indices)
+    rows = np.repeat(np.arange(g.vertex_count), np.diff(g.indptr))
+    same_row = rows[1:] == rows[:-1]
+    assert (np.diff(g.indices)[same_row] > 0).all()
+
+
 def test_closed_form_edge_count():
     for n in range(5, 14):
         assert graph.closed_form_edge_count(n) == EDGE_COUNTS[n - 1]
