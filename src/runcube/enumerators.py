@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import config, graph, strings
-from .polyseries import MultiPoly, RationalGF, Ring, TruncatedSeries, t_poly_multiply
+from .polyseries import FactoredGF, RationalGF, Ring, TruncatedSeries, t_poly_multiply
 from .report import Report
 
 UD = Ring(("u", "d"))
@@ -205,19 +205,19 @@ def census_check(n_max=16, cap=None):
 # five-case assembly
 
 
-def _case_factors(order):
-    """Shared series pieces: G, 1/(1-ut), X, Y, and the block geometric."""
+def _case_factors():
+    """Shared rational pieces: G, 1/(1-ut), X, Y, and the block geometric."""
     u = UD.var("u")
     d = UD.var("d")
-    ts = lambda terms: TruncatedSeries.from_terms(UD, terms, order)
-    inv1 = ts({1: u}).compose_geometric()          # 1/(1-ut)
-    geom_t2 = ts({2: 1}).compose_geometric()       # 1/(1-t^2)
-    G = ts({3: d}) + ts({5: d * d}) * geom_t2
+    tp = lambda terms: FactoredGF.polynomial(UD, terms)
+    inv1 = tp({1: u}).geometric()          # 1/(1-ut)
+    geom_t2 = tp({2: 1}).geometric()       # 1/(1-t^2)
+    G = tp({3: d}) + tp({5: d * d}) * geom_t2
     X = G
-    Y = G * G * G.compose_geometric()
-    alpha = ts({1: u}) * inv1
-    beta = ts({1: 1}) * inv1
-    return u, d, ts, inv1, G, X, Y, alpha, beta
+    Y = G * G * G.geometric()
+    alpha = tp({1: u}) * inv1
+    beta = tp({1: 1}) * inv1
+    return u, tp, inv1, G, X, Y, alpha, beta
 
 
 @dataclass
@@ -232,7 +232,7 @@ class CaseAssembly:
 
 
 def assemble_case_gfs(order):
-    """Re-run the five-case construction of the up-down GF in series space.
+    """Re-run the five-case construction of the up-down GF.
 
     Strings are split by the block structure around their internal zero
     runs: cases A-D have at least two blocks of S-letters and are graded by
@@ -240,34 +240,40 @@ def assemble_case_gfs(order):
     block.  Pre-run, internal-run and post-run contributions are the
     printed rational factors; the u^{-1} carried by the A/B post-run is
     absorbed by rewriting u^{-1} alpha = beta, which keeps every factor a
-    genuine power series.
+    genuine power series.  Every case is built as an exact rational
+    function and expanded once; the denominators come out of the
+    construction, not from the printed D(u,d;t).
     """
     if order < 3:
         raise ValueError("assembly needs order >= 3")
-    u, d, ts, inv1, G, X, Y, alpha, beta = _case_factors(order)
-    geom = (alpha * X + beta * Y).compose_geometric()
-    pre_single = ts({0: 1, 1: u}) + ts({2: u}) * inv1     # before s0...
-    pre_multi = ts({0: 1, 1: 1}) + ts({2: 1}) * inv1      # before s^2 s^* 0...
-    post = ts({0: 1}) + ts({1: 1}) * inv1                 # after ...0 s-block
-    gf_a = pre_single * (beta * inv1) * X * X * geom
-    gf_b = pre_multi * (beta * inv1) * X * Y * geom
-    gf_c = pre_single * post * beta * X * Y * geom
-    gf_d = pre_multi * post * beta * Y * Y * geom
-    e_zero = ts({1: 1}) + ts({2: 1}) * inv1
-    e_single = (ts({0: 1}) + ts({1: 2}) * inv1 + ts({2: 1}) * inv1 * inv1) * X
-    e_block = (
-        ts({0: 1, 1: 1})
-        + ts({1: 1, 2: 1}) * inv1
-        + ts({2: 1}) * inv1
-        + ts({3: 1}) * inv1 * inv1
-    ) * Y
-    gf_e = e_zero + e_single + e_block
-    gfx = gf_a + gf_b + gf_c + gf_d + gf_e
-    gf = (gfx - ts({1: 1, 2: 1})).shift_divide_by_t_power(2)
+    u, tp, inv1, G, X, Y, alpha, beta = _case_factors()
+    geom = (alpha * X + beta * Y).geometric()
+    pre_single = tp({0: 1, 1: u}) + tp({2: u}) * inv1     # before s0...
+    pre_multi = tp({0: 1, 1: 1}) + tp({2: 1}) * inv1      # before s^2 s^* 0...
+    post = tp({0: 1}) + tp({1: 1}) * inv1                 # after ...0 s-block
+    cases = {
+        "A": pre_single * (beta * inv1) * X * X * geom,
+        "B": pre_multi * (beta * inv1) * X * Y * geom,
+        "C": pre_single * post * beta * X * Y * geom,
+        "D": pre_multi * post * beta * Y * Y * geom,
+    }
+    e_parts = {
+        "zero": tp({1: 1}) + tp({2: 1}) * inv1,
+        "single": (tp({0: 1}) + tp({1: 2}) * inv1 + tp({2: 1}) * inv1 * inv1) * X,
+        "block": (
+            tp({0: 1, 1: 1})
+            + tp({1: 1, 2: 1}) * inv1
+            + tp({2: 1}) * inv1
+            + tp({3: 1}) * inv1 * inv1
+        ) * Y,
+    }
+    cases["E"] = e_parts["zero"] + e_parts["single"] + e_parts["block"]
+    gfx = sum(cases.values()).expand(order)
+    gf = (gfx - TruncatedSeries.from_terms(UD, {1: 1, 2: 1}, order)).shift_divide_by_t_power(2)
     return CaseAssembly(
         order,
-        {"A": gf_a, "B": gf_b, "C": gf_c, "D": gf_d, "E": gf_e},
-        {"zero": e_zero, "single": e_single, "block": e_block},
+        {tag: part.expand(order) for tag, part in cases.items()},
+        {sub: part.expand(order) for sub, part in e_parts.items()},
         gfx,
         gf,
     )
@@ -275,12 +281,12 @@ def assemble_case_gfs(order):
 
 def combined_e_gf(order):
     """The printed single-expression form of the case-E series."""
-    u, d, ts, inv1, G, X, Y, alpha, beta = _case_factors(order)
-    one_mu_t = ts({0: 1, 1: 1 - u})
-    part1 = ts({1: 1, 2: 1 - u}) * inv1
+    u, tp, inv1, G, X, Y, alpha, beta = _case_factors()
+    one_mu_t = tp({0: 1, 1: 1 - u})
+    part1 = tp({1: 1, 2: 1 - u}) * inv1
     part2 = one_mu_t * one_mu_t * inv1 * inv1 * G
-    part3 = one_mu_t * ts({0: 1, 1: 1 - u, 2: 1 - u}) * inv1 * inv1 * Y
-    return part1 + part2 + part3
+    part3 = one_mu_t * tp({0: 1, 1: 1 - u, 2: 1 - u}) * inv1 * inv1 * Y
+    return (part1 + part2 + part3).expand(order)
 
 
 def _e_subtag(dec):
@@ -392,7 +398,7 @@ def word_sum_identity_check(n_max=12):
         lhs = TruncatedSeries(
             WORD_RING, sums[(first, last)], n_max
         )
-        rhs = TruncatedSeries.from_terms(WORD_RING, {0: head}, n_max) * geom
+        rhs = geom * head
         report.add(
             "graded sum over %s w %s equals geometric form" % (first, last),
             lhs.agrees_with(rhs),

@@ -19,7 +19,19 @@ it.  A product is one bigint multiply; a quotient keeps the divisor as
 (coefficient, shift) pairs and runs the division recurrence on packed
 coefficients.  Unpacking adds 2^(w-1) to every slot, reads the bytes once
 through numpy and converts only the slots that differ from that bias.
-Packing shifts by exponents, so a Ring refuses negative ones.
+Packing shifts by exponents, so a Ring refuses negative ones.  A layout
+whose whole series (order + 1 blocks) would take more than
+PACKED_MAX_BYTES is refused with ResourceLimitError before anything is
+packed; a quotient checks the layout its bounds need so far at every step
+of the bound recurrence, so a huge order fails within a few steps.
+
+FactoredGF is exact rational arithmetic in t for generating functions
+built from many small rational factors: the denominator stays a product
+of factor polynomials with multiplicities, so a product adds
+multiplicities (a factor that a geometric moved into the numerator cancels
+against the denominator), a sum works over the lcm of the two
+denominators, and 1/(1 - r) adds one factor.  Only the final function is
+multiplied out and expanded, once, through RationalGF.
 """
 
 from itertools import accumulate, repeat
@@ -27,7 +39,10 @@ from operator import add, mul
 
 import numpy as np
 
-from .errors import DomainError, RegistryError, SeriesError
+from .errors import DomainError, RegistryError, ResourceLimitError, SeriesError
+
+# largest whole series, in bytes, that a Kronecker layout may describe
+PACKED_MAX_BYTES = 1 << 28
 
 
 class Ring:
@@ -377,6 +392,23 @@ def _degrees(terms, arity):
     return list(map(max, zip(*terms))) if terms else [0] * arity
 
 
+def _slot_bytes(bound):
+    """Slot width holding any coefficient of absolute value <= bound, with a sign bit spare."""
+    return (bound.bit_length() + 2 + 7) // 8
+
+
+def _refuse_oversized(what, degrees, bound, blocks):
+    """ResourceLimitError unless `blocks` blocks of this layout fit PACKED_MAX_BYTES."""
+    need = _slot_bytes(bound) * blocks
+    for d in degrees:
+        need *= d + 1
+    if need > PACKED_MAX_BYTES:
+        raise ResourceLimitError(
+            "%s through t^%d needs a packed layout of %d bytes, cap is %d"
+            % (what, blocks - 1, need, PACKED_MAX_BYTES)
+        )
+
+
 class _Layout:
     """Kronecker layout of a truncated series over one ring, in one int.
 
@@ -387,7 +419,7 @@ class _Layout:
     """
 
     def __init__(self, degrees, bound):
-        self.width = (bound.bit_length() + 2 + 7) // 8
+        self.width = _slot_bytes(bound)
         self.dims = [d + 1 for d in degrees]
         self.strides = []
         self.block = 1
@@ -470,13 +502,25 @@ class TruncatedSeries:
     @classmethod
     def from_terms(cls, ring, terms, order):
         """Build from {t power: coefficient}, coefficients ints or MultiPoly."""
+        if order < 0:
+            raise DomainError("series order must be nonnegative")
         coeffs = [ring.zero()] * (order + 1)
         for k, c in terms.items():
             if isinstance(c, int):
                 c = ring.const(c)
             if 0 <= k <= order:
+                # the sum refuses a coefficient from another registry
                 coeffs[k] = coeffs[k] + c
-        return cls(ring, coeffs, order)
+        return cls._trusted(ring, coeffs, order)
+
+    @classmethod
+    def _trusted(cls, ring, coeffs, order):
+        """A series from exactly order + 1 coefficients already known to be over `ring`."""
+        self = object.__new__(cls)
+        self.ring = ring
+        self.order = order
+        self.coeffs = coeffs
+        return self
 
     def coefficient(self, k):
         if k < 0 or k > self.order:
@@ -551,6 +595,7 @@ class TruncatedSeries:
             for i, t in enumerate(a):
                 if t:
                     degrees = list(map(max, degrees, map(add, _degrees(t, arity), reach[n - i])))
+            _refuse_oversized("series product", degrees, bound, n + 1)
             layout = _Layout(degrees, bound)
             product = layout.pack(a) * layout.pack(b)
             return self._from_dicts(layout.unpack(product, n + 1), n)
@@ -589,33 +634,42 @@ class TruncatedSeries:
                 "divisor constant term must be 1, got %s" % den.coeffs[0].render(),
                 index=0,
             )
-        num = [c.terms for c in self.coeffs[: n + 1]]
-        divisor = [(j, den.coeffs[j].terms) for j in range(1, n + 1) if den.coeffs[j]]
         # out_k = num_k - sum_j den_j * out_(k-j), so with B_k bounding the
         # 1-norm of out_k, B_k = |num_k| + sum_j |den_j| * B_(k-j), and the
-        # degrees of out_k follow the same recurrence with max and +
+        # degrees of out_k follow the same recurrence with max and +.  The
+        # divisor terms are collected as k reaches them, and the layout the
+        # bounds so far need is checked at every step, so an order too large
+        # for the cap is refused after a few steps, not after all of them.
         arity = self.ring.arity
-        den_bounds = [(j, _norm(t), _degrees(t, arity)) for j, t in divisor]
+        divisor = []
         bounds = []
         degrees = []
+        peak = 0
+        top = [0] * arity
         for k in range(n + 1):
-            bound = _norm(num[k])
-            deg = _degrees(num[k], arity)
-            for j, dnorm, ddeg in den_bounds:
-                if j > k:
-                    break
+            terms = den.coeffs[k].terms
+            if k and terms:
+                divisor.append((k, terms, _norm(terms), _degrees(terms, arity)))
+            terms = self.coeffs[k].terms
+            bound = _norm(terms)
+            deg = _degrees(terms, arity)
+            for j, _, dnorm, ddeg in divisor:
                 if bounds[k - j]:
                     bound += dnorm * bounds[k - j]
                     deg = list(map(max, deg, map(add, ddeg, degrees[k - j])))
             bounds.append(bound)
             degrees.append(deg)
-        layout = _Layout([max(col) for col in zip(*degrees)], max(bounds))
-        steps = [(j, [(c, layout.shift(e)) for e, c in t.items()]) for j, t in divisor]
+            peak = max(peak, bound)
+            top = list(map(max, top, deg))
+            _refuse_oversized("series quotient", top, peak, n + 1)
+        layout = _Layout(top, peak)
+        steps = [(j, [(c, layout.shift(e)) for e, c in t.items()]) for j, t, _, _ in divisor]
         span = divisor[-1][0] if divisor else 0
         packed = []
         out = []
         for k in range(n + 1):
-            acc = layout.pack([num[k]]) if num[k] else 0
+            terms = self.coeffs[k].terms
+            acc = layout.pack([terms]) if terms else 0
             for j, pairs in steps:
                 if j > k:
                     break
@@ -645,7 +699,8 @@ class TruncatedSeries:
         return one.divide_by(one - self)
 
     def _from_dicts(self, term_dicts, order):
-        return TruncatedSeries(self.ring, [MultiPoly(self.ring, d) for d in term_dicts], order)
+        ring = self.ring
+        return TruncatedSeries._trusted(ring, [MultiPoly(ring, d) for d in term_dicts], order)
 
     def substitute(self, name, replacement):
         return self.apply(lambda c: c.substitute(name, replacement))
@@ -738,6 +793,144 @@ class RationalGF:
                 "(%s)*t^%d" % (c.render(), k) for k, c in sorted(table.items())
             ) or "0"
         return "RationalGF((%s) / (%s))" % (side(self.numerator), side(self.denominator))
+
+
+def _by_t_power(ring, terms):
+    """{t power: MultiPoly} from a term dict whose exponents carry the power of t first."""
+    rows = {}
+    for (k, *exps), c in terms.items():
+        rows.setdefault(k, {})[tuple(exps)] = c
+    return {k: MultiPoly(ring, row) for k, row in rows.items()}
+
+
+class FactoredGF:
+    """Exact rational function num * prod(f^m) in t over a ring.
+
+    `num` and every factor f are polynomials in t with coefficients in the
+    ring, held as one term dict each whose exponent vectors put the power of
+    t first.  Each factor has constant term 1 and is keyed by its frozen
+    term set; its multiplicity m is a nonzero integer, negative for a
+    denominator factor and positive for one that a geometric moved into the
+    numerator.  A product adds multiplicities, so such a factor cancels
+    against the same denominator factor.  A sum keeps each factor at the
+    smaller of its two multiplicities (for the denominator, the lcm of the
+    two denominators) and multiplies the rest into each numerator.  For
+    r = N/D with zero constant term, 1/(1 - r) = D/(D - N) moves D's factors
+    into the numerator and adds D - N as one new denominator factor.
+    expand() multiplies every factor out and divides once, through
+    RationalGF.
+    """
+
+    __slots__ = ("ring", "num", "factors")
+
+    def __init__(self, ring, num, factors=None):
+        self.ring = ring
+        self.num = num
+        self.factors = factors or {}
+
+    @classmethod
+    def polynomial(cls, ring, table):
+        """The polynomial sum of c * t^k over {k: c}, coefficients ints or MultiPoly."""
+        num = {}
+        for k, c in table.items():
+            if isinstance(c, int):
+                c = ring.const(c)
+            if c.ring != ring:
+                raise RegistryError("coefficient registry mismatch at t^%d" % k)
+            _add_into(num, {_exponents((k,) + e): v for e, v in c.terms.items()})
+        return cls(ring, num)
+
+    def _coerce(self, other):
+        if isinstance(other, int):
+            return FactoredGF.polynomial(self.ring, {0: other})
+        if isinstance(other, FactoredGF):
+            _check_same_ring(self, other)
+            return other
+        return None
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        factors = dict(self.factors)
+        for f, m in other.factors.items():
+            m += factors.pop(f, 0)
+            if m:
+                factors[f] = m
+        return FactoredGF(self.ring, _mul_terms(self.num, other.num), factors)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        common = {
+            f: min(self.factors.get(f, 0), other.factors.get(f, 0))
+            for f in {**self.factors, **other.factors}
+        }
+        num = self._over(common)
+        _add_into(num, other._over(common))
+        return FactoredGF(self.ring, num, {f: m for f, m in common.items() if m})
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FactoredGF(self.ring, {e: -c for e, c in self.num.items()}, self.factors)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def _over(self, common):
+        """num * prod f^(m - common[f]): this function divided by the common part, a fresh dict."""
+        out = dict(self.num)
+        for f, c in common.items():
+            for _ in range(self.factors.get(f, 0) - c):
+                out = _mul_terms(out, dict(f))
+        return out
+
+    def _sides(self):
+        """(numerator, denominator) term dicts with every factor multiplied out."""
+        num = dict(self.num)
+        den = {(0,) * (self.ring.arity + 1): 1}
+        for f, m in self.factors.items():
+            for _ in range(abs(m)):
+                if m > 0:
+                    num = _mul_terms(num, dict(f))
+                else:
+                    den = _mul_terms(den, dict(f))
+        return num, den
+
+    def geometric(self):
+        """Return 1/(1 - self); requires zero constant term."""
+        one = (0,) * (self.ring.arity + 1)
+        if any(e[0] == 0 for e in self.num):
+            raise SeriesError("geometric composition needs zero constant term", index=0)
+        if not self.num:
+            return FactoredGF(self.ring, {one: 1})
+        num, den = self._sides()
+        new = dict(den)
+        _add_into(new, num, -1)
+        moved = FactoredGF(self.ring, {one: 1}, {f: -m for f, m in self.factors.items() if m < 0})
+        return moved * FactoredGF(self.ring, {one: 1}, {frozenset(new.items()): -1})
+
+    def rational(self):
+        """The same function as a RationalGF, numerator and denominator multiplied out."""
+        num, den = self._sides()
+        return RationalGF(self.ring, _by_t_power(self.ring, num), _by_t_power(self.ring, den))
+
+    def expand(self, order):
+        return self.rational().expand(order)
+
+    def __repr__(self):
+        return "FactoredGF(%r)" % self.rational()
 
 
 def t_poly_multiply(ring, a, b):

@@ -26,8 +26,9 @@ label array.  Bit k stands for the k-th label, and ascending masks are a
 topological order, so up[v] is bit v OR the up sets of v's
 up-neighbours, filled from the top down, and down[v] the mirror.  The
 interval [a, b] is up[a] & down[b], and mu(a, b) is -sum of mu(a, z)
-over its bits z other than b, walked upward.  The surveys run the kernel
-on all of R_n, the single-pair calls on the box a <= z <= b (as masks)
+over its bits z other than b, walked upward with one bitset per mu value
+and one masked popcount per value.  The surveys run the kernel on all of
+R_n, the single-pair calls on the box a <= z <= b (as masks)
 of R_n's labels, which holds every chain from a to b.  R_n must fit the
 vertex cap, as in `graph.build`, and the bitsets, about 2 V^2 / 8 bytes
 for V vertices, REACH_MAX_BYTES; both are checked before any scan, and a
@@ -203,10 +204,21 @@ def mobius_recursive(n, u, v, cap=None):
 
 
 def _mobius_from(up, down, i):
-    """{j: mu(i, j)} for every bit j of up[i]; the walk climbs, so each z is set before j."""
+    """{j: mu(i, j)} for every bit j of up[i].
+
+    The walk climbs, so every z of [i, j] other than j is set before j.
+    The z sharing one nonzero mu value share one bitset, so mu(i, j) is
+    -sum of value * popcount([i, j] & bitset), one masked popcount per
+    value instead of one term per bit of the interval.
+    """
     mu = {i: 1}
+    by_value = {1: 1 << i}
     for j in _bits(up[i] ^ (1 << i)):
-        mu[j] = -sum(mu[z] for z in _bits((up[i] & down[j]) ^ (1 << j)))
+        interval = up[i] & down[j]
+        m = -sum(v * (interval & bits).bit_count() for v, bits in by_value.items())
+        mu[j] = m
+        if m:
+            by_value[m] = by_value.get(m, 0) | (1 << j)
     return mu
 
 

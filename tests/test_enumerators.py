@@ -142,9 +142,42 @@ def test_recurrence():
 
 
 def test_combined_e_form_matches_parts():
-    assembly = en.assemble_case_gfs(18)
-    combined = en.combined_e_gf(18)
+    # order 24; the brute census by case runs through length 18, past the
+    # acceptance test's 16 (length 24 alone takes seconds)
+    assembly = en.assemble_case_gfs(24)
+    combined = en.combined_e_gf(24)
+    assert combined.order == 24
     assert assembly.cases["E"].agrees_with(combined)
+    for m in range(1, 19):
+        census = en.case_census_polynomials(m)
+        for tag in "ABCDE":
+            assert assembly.cases[tag].coefficient(m) == census[tag], (tag, m)
+        for sub in ("zero", "single", "block"):
+            assert assembly.e_parts[sub].coefficient(m) == census["E/" + sub], (sub, m)
+    total = sum((assembly.cases[t] for t in "BCDE"), assembly.cases["A"])
+    assert assembly.gfx.agrees_with(total)
+    assert assembly.gf.first_difference(en.gf_updown_closed(22)) is None
+
+
+def test_assembly_never_reads_the_printed_closed_form(monkeypatch):
+    def refuse():
+        raise AssertionError("the assembly read the printed GF")
+
+    want = en.assemble_case_gfs(12)
+    monkeypatch.setattr(en, "updown_gf", refuse)
+    got = en.assemble_case_gfs(12)
+    assert got.gf == want.gf
+    assert en.combined_e_gf(12) == want.cases["E"]
+
+
+def test_assembly_multiplies_no_series(monkeypatch):
+    from runcube.polyseries import TruncatedSeries
+
+    def refuse(self, other):
+        raise AssertionError("the assembly multiplied truncated series")
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", refuse)
+    assert en.case_assembly_check(order=12, max_len=8).ok
 
 
 def test_suite_reports_expected_names():

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from runcube import embedding, enumerators, poset
-from runcube.errors import DomainError, RegistryError, SeriesError
-from runcube.polyseries import MultiPoly, RationalGF, Ring, TruncatedSeries
+from runcube import embedding, enumerators, polyseries, poset
+from runcube.errors import DomainError, RegistryError, ResourceLimitError, SeriesError
+from runcube.polyseries import FactoredGF, MultiPoly, RationalGF, Ring, TruncatedSeries
 
 R2 = Ring(("u", "d"))
 
@@ -488,3 +488,190 @@ def test_substitution_errors_are_registry_errors():
         s.substitute("z", d)
     with pytest.raises(RegistryError):
         s.evaluate_at("z", 1)
+
+
+# --- factored rational functions ---------------------------------------------
+
+X1 = Ring(("x",))
+
+
+def atoms(ring):
+    """Rational pieces over `ring` that share factors: 1/(1 - v t), 1/(1 - t^2),
+    1/(1 - t - v t^3), and a nested geometric whose numerator holds 1 - t^2."""
+    v = ring.var(ring.names[0])
+    tp = lambda table: FactoredGF.polynomial(ring, table)
+    g1 = tp({1: v}).geometric()
+    g2 = tp({2: 1}).geometric()
+    g3 = tp({1: 1, 3: v}).geometric()
+    nested = (tp({3: v}) + tp({5: v * v}) * g2).geometric()
+    return [g1, g2, g3, nested]
+
+
+def factored(ring):
+    """A polynomial times a product of atoms, each to a power 0..2."""
+    pieces = atoms(ring)
+    poly = st.lists(
+        st.tuples(st.integers(0, 3), polys(ring=ring, max_terms=2, max_exp=2, max_coeff=5)),
+        max_size=3,
+    ).map(lambda items: FactoredGF.polynomial(ring, dict(items)))
+    powers = st.lists(st.integers(0, 2), min_size=len(pieces), max_size=len(pieces))
+
+    def build(p, ks):
+        for piece, k in zip(pieces, ks):
+            for _ in range(k):
+                p = p * piece
+        return p
+
+    return st.builds(build, poly, powers)
+
+
+def factored_pairs():
+    return st.sampled_from([R2, X1]).flatmap(lambda ring: st.tuples(factored(ring), factored(ring)))
+
+
+ORDER = 9
+
+
+@given(factored_pairs())
+@settings(max_examples=60, deadline=None)
+def test_factored_product_and_sum_match_series_arithmetic(pair):
+    a, b = pair
+    sa, sb = a.expand(ORDER), b.expand(ORDER)
+    assert (a * b).expand(ORDER) == sa * sb
+    assert (a + b).expand(ORDER) == sa + sb
+    assert (a - b).expand(ORDER) == sa - sb
+
+
+@given(factored_pairs())
+@settings(max_examples=40, deadline=None)
+def test_factored_geometric_matches_compose_geometric(pair):
+    a, b = pair
+    t = FactoredGF.polynomial(a.ring, {1: 1})
+    body = t * a + t * t * b
+    want = (a.expand(ORDER).shift(1) + b.expand(ORDER).shift(2)).compose_geometric()
+    assert body.geometric().expand(ORDER) == want
+
+
+@pytest.mark.parametrize("ring", [R2, X1], ids=["u,d", "x"])
+def test_sum_keeps_the_larger_denominator_power_of_a_shared_factor(ring):
+    v = ring.var(ring.names[0])
+    tp = lambda table: FactoredGF.polynomial(ring, table)
+    inv = tp({1: v}).geometric()                   # 1/(1 - v t)
+    other = tp({2: 1}).geometric()                 # 1/(1 - t^2), unshared
+    a = tp({0: 3, 1: v}) * inv * inv
+    b = tp({0: 1, 2: -2}) * inv * other
+    total = a + b
+    key = frozenset({(0,) * (ring.arity + 1): 1, (1,) + (1,) + (0,) * (ring.arity - 1): -1}.items())
+    assert total.factors[key] == -2
+    assert sorted(total.factors.values()) == [-2, -1]
+    assert total.expand(12) == a.expand(12) + b.expand(12)
+    # 1/(1 - t/(1 - v t)) = (1 - v t)/(1 - (v + 1) t) holds 1 - v t as a
+    # numerator factor, and a product with 1/(1 - v t) cancels it
+    back = (tp({1: 1}) * inv).geometric()
+    assert sorted(back.factors.values()) == [-1, 1]
+    assert list((back * inv).factors.values()) == [-1]
+    assert (back * inv).expand(8) == tp({1: v + 1}).geometric().expand(8)
+
+
+def test_geometric_moves_the_denominator_into_the_numerator():
+    d = R2.var("d")
+    tp = lambda table: FactoredGF.polynomial(R2, table)
+    g2 = tp({2: 1}).geometric()
+    G = tp({3: d}) + tp({5: d * d}) * g2
+    Y = G * G * G.geometric()
+    # G = N/(1 - t^2) and 1/(1 - G) = (1 - t^2)/(1 - t^2 - N), so Y keeps one power of 1 - t^2
+    assert sorted(Y.factors.values()) == [-1, -1]
+    gs = G.expand(14)
+    assert Y.expand(14) == gs * gs * gs.compose_geometric()
+
+
+def test_factored_refusals():
+    tp = lambda ring, table: FactoredGF.polynomial(ring, table)
+    with pytest.raises(SeriesError):
+        tp(R2, {0: 1, 1: 1}).geometric()
+    with pytest.raises(RegistryError):
+        tp(R2, {1: 1}) * tp(X1, {1: 1})
+    with pytest.raises(RegistryError):
+        tp(R2, {1: X1.var("x")})
+    with pytest.raises(DomainError):
+        tp(R2, {-1: 1})
+    assert tp(R2, {}).geometric().expand(3) == TruncatedSeries.one(R2, 3)
+    assert (2 + tp(R2, {1: 1}) * -3).expand(2) == TruncatedSeries.from_terms(R2, {0: 2, 1: -3}, 2)
+
+
+# --- the packed-layout cap -----------------------------------------------------
+
+
+def _need(message):
+    return int(str(message).split("layout of ")[1].split(" bytes")[0])
+
+
+def test_series_product_is_refused_before_packing(monkeypatch):
+    a = TruncatedSeries.from_terms(R2, {0: 1, 1: R2.var("u"), 3: 5 * R2.var("d", 2)}, 10)
+    want = a * a
+    monkeypatch.setattr(polyseries, "PACKED_MAX_BYTES", 10)
+
+    def refuse(*args):
+        raise AssertionError("packed before the cap was checked")
+
+    monkeypatch.setattr(polyseries._Layout, "pack", refuse)
+    with pytest.raises(ResourceLimitError, match="series product") as exc:
+        a * a
+    need = _need(exc.value)
+    monkeypatch.undo()
+    monkeypatch.setattr(polyseries, "PACKED_MAX_BYTES", need - 1)
+    with pytest.raises(ResourceLimitError):
+        a * a
+    monkeypatch.setattr(polyseries, "PACKED_MAX_BYTES", need)
+    assert a * a == want
+
+
+def test_series_quotient_cap_fires_inside_the_bound_recurrence(monkeypatch):
+    ring = RINGS[0]
+    order = 10 ** 6
+    one = TruncatedSeries.one(ring, order)
+    den = TruncatedSeries.from_terms(ring, {0: 1, 1: -1, 2: -1}, order)
+    steps = []
+    check = polyseries._refuse_oversized
+
+    def counted(*args):
+        steps.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(polyseries, "_refuse_oversized", counted)
+    monkeypatch.setattr(polyseries, "PACKED_MAX_BYTES", 1 << 24)
+    with pytest.raises(ResourceLimitError, match=r"series quotient through t\^1000000 "):
+        one.divide_by(den)
+    # 16 MiB over 10^6 blocks allows 16-byte slots: the Fibonacci bound
+    # outgrows them after about 180 steps, long before the last
+    assert len(steps) < 300
+
+
+def test_series_quotient_cap_is_exact(monkeypatch):
+    gf = enumerators.updown_gf()
+    want = gf.expand(12)
+    # the recurrence refuses at the first step whose running layout is over
+    # the cap, so raising the cap to each reported need walks up to the whole
+    need = 1
+    while True:
+        monkeypatch.setattr(polyseries, "PACKED_MAX_BYTES", need)
+        try:
+            got = gf.expand(12)
+            break
+        except ResourceLimitError as exc:
+            assert "series quotient through t^12" in str(exc)
+            assert _need(exc) > need
+            need = _need(exc)
+    assert got == want
+    monkeypatch.setattr(polyseries, "PACKED_MAX_BYTES", need - 1)
+    with pytest.raises(ResourceLimitError):
+        gf.expand(12)
+
+
+@pytest.mark.parametrize("argv", [["gf", "--kind", "edge", "--order", "400"], ["verify", "gf", "--order", "30"]])
+def test_series_over_the_cap_is_usage_error(monkeypatch, capsys, argv):
+    from runcube import cli
+
+    monkeypatch.setattr(polyseries, "PACKED_MAX_BYTES", 1000)
+    assert cli.main(argv) == 2
+    assert "needs a packed layout" in capsys.readouterr().err
