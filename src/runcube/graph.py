@@ -8,7 +8,16 @@ label + "00").  |V(R_n)| is the Fibonacci number f_{n+2}.
 
 Vertex labels are kept as sorted int64 bitmasks (most significant bit =
 first character), which lets adjacency and degree scans run as vectorized
-flip-and-binary-search passes instead of pairwise comparisons.  One kernel,
+flip-and-rank passes instead of pairwise comparisons.  Whether a flipped
+label is a vertex, and where it sits among the sorted labels, is read off
+two-level rank tables over the run rule (`_rank_tables`): split a label
+into its high and low halves; a table indexed by the high half gives the
+index of the first label with that high half and the state of the run
+automaton after it (the length of an open 1-run, or how many zeros are
+still owed, or dead), and a table indexed by (state, low half) gives the
+low half's rank among the completions valid from that state, -1 for an
+invalid one.  The automaton has at most n + 4 states, so the tables hold
+O(n 2^(n/2)) entries, and a probe is two gathers and an add.  One kernel,
 `_flip_scan`, makes those passes for `build` (and `poset`'s reachability),
 for the brute census `degree_census`, and for `_maximal_by_flip_scan`, the
 oracle of `maximal_vertices`.  `build` fills its CSR rows without a sort,
@@ -122,31 +131,96 @@ def _vertex_total(n, cap, streaming=False):
     return total
 
 
-def _flip_scan(labels, chunk, n, edges=None):
-    """uint8 (up, down) flip degrees of the vertices in `chunk`.
+def _run_automaton(n):
+    """Transitions delta[state, bit] of the run rule on strings of length n + 2.
 
-    `chunk` is a slice of the sorted label array.  For each of the n label
-    bits, every chunk mask is flipped and looked up in `labels` with one
-    searchsorted probe; a hit is a neighbour, counted as up when the bit
-    was 0.  When `edges` is a list, each bit's (chunk index, neighbour
-    index) arrays are appended to it.
+    State 0 is dead, state 1 + k owes k more zeros (state 1 is free), and
+    state K + 1 + r has an open run of r ones, for k, r <= K = n//2 + 1:
+    a run of r ones needs r + 1 zeros after it, so no longer run fits.
     """
-    nv = len(labels)
+    K = n // 2 + 1
+    delta = np.zeros((2 * K + 2, 2), dtype=np.intp)
+    for k in range(K + 1):
+        delta[1 + k] = (1 + max(k - 1, 0), K + 2 if k == 0 else 0)
+    for r in range(1, K + 1):
+        delta[K + 1 + r] = (1 + r, K + 2 + r if r < K else 0)
+    return delta
+
+
+def _rank_tables(n):
+    """(first, offset, rank): R_n's label ranks, split at bit n//2.
+
+    A label is a high half, its top n - n//2 bits, and a low half, its
+    n//2 bits.  Indexed by the high half, `first` holds the index of the
+    first label with that high half (-1 if none has it) and `offset` the
+    run-automaton state after it, times 2^(n//2).  `rank[offset + low]` is
+    the low half's rank among the completions valid from that state (-1 if
+    the completion, with the trailing 00, breaks the run rule), so a label's
+    index is first + rank.  That is 2^(n - n//2) entries per high table and
+    (n + 4) 2^(n//2) in `rank`, one row per automaton state.  The rows are
+    built a bit at a time: a state's completions one bit longer are those
+    of its 0-successor followed by those of its 1-successor.  Indices are
+    int32 while R_n has fewer than 2^31 vertices.
+    """
+    low = n // 2
+    delta = _run_automaton(n)
+    index = np.int32 if fibonacci(n + 2) < 2**31 else np.int64
+    highs = np.arange(1 << (n - low))
+    state = np.ones(len(highs), dtype=np.intp)
+    for j in range(n - low - 1, -1, -1):
+        state = delta[state, (highs >> j) & 1]
+    valid = (delta[delta[:, 0], 0] == 1)[:, None]
+    for _ in range(low):
+        valid = np.concatenate([valid[delta[:, 0]], valid[delta[:, 1]]], axis=1)
+    rank = np.cumsum(valid, axis=1, dtype=index)
+    count = rank[state, -1]
+    first = np.where(count > 0, np.cumsum(count) - count, -1).astype(index)
+    rank -= 1
+    rank[~valid] = -1
+    return first, (state << low).astype(index), rank.ravel()
+
+
+def _flip_scan(chunk, n, edges=None, bits=None):
+    """uint8 (up, down) flip degrees of the labels in `chunk` within R_n.
+
+    `chunk` is an ascending array of R_n's label masks.  Every mask is
+    flipped at each of the n label bits (or only at `bits`) and looked up
+    in the rank tables, built once per call by `_rank_tables`: one row per
+    state of the run automaton (dead, k zeros owed, or an open run of r
+    ones; at most n + 4 states) over the 2^(n//2) low halves, and one
+    entry per high half, O(n 2^(n/2)) entries in all.  A flip inside the
+    low half keeps the row and moves the column, one inside the high half
+    moves the row.  A hit is a neighbour, counted as up when the bit was
+    0, which is when the neighbour's rank (low flips) or high half (high
+    flips) is larger.  When `edges` is a list, each bit's (chunk index,
+    neighbour index) arrays are appended to it, ascending in chunk index,
+    int32 while R_n has fewer than 2^31 vertices.
+    """
+    first, offset, rank = _rank_tables(n)
+    low = n // 2
+    index = rank.dtype.type
+    hi = (chunk >> low).astype(index)
+    lo = (chunk & ((1 << low) - 1)).astype(index)
+    here = offset.take(hi) | lo
+    own = rank.take(here)
     ups = np.zeros(len(chunk), dtype=np.uint8)
-    downs = np.zeros(len(chunk), dtype=np.uint8)
-    for j in range(n):
-        bit = np.int64(1) << np.int64(j)
-        flipped = chunk ^ bit
-        pos = np.searchsorted(labels, flipped)
-        pos[pos >= nv] = 0
-        member = labels[pos] == flipped
-        was_zero = (chunk & bit) == 0
-        ups += member & was_zero
-        downs += member & ~was_zero
+    degrees = np.zeros(len(chunk), dtype=np.uint8)
+    for j in range(n) if bits is None else bits:
+        if j < low:
+            top = hi
+            r = rank.take(here ^ index(1 << j))
+            up = r > own
+        else:
+            top = hi ^ index(1 << (j - low))
+            r = rank.take(offset.take(top) | lo)
+            up = top > hi
+        member = r >= 0
+        ups += member & up
+        degrees += member
         if edges is not None:
-            idx = np.nonzero(member)[0]
-            edges.append((idx, pos[idx]))
-    return ups, downs
+            idx = np.flatnonzero(member).astype(index)
+            edges.append((idx, first.take(top.take(idx)) + r.take(idx)))
+    return ups, degrees - ups
 
 
 class FibRunGraph:
@@ -196,7 +270,7 @@ def build(n, cap=None):
     total = _vertex_total(n, cap)
     labels = vertex_labels(n)
     edges = []
-    ups, downs = _flip_scan(labels, labels, n, edges)
+    ups, downs = _flip_scan(labels, n, edges)
     indptr = np.zeros(len(labels) + 1, dtype=np.int64)
     np.cumsum(ups + downs, dtype=np.int64, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int64)
@@ -251,10 +325,9 @@ class DegreeCensus:
 
 
 def _census_chunk(labels, lo, hi, n):
-    ups, downs = _flip_scan(labels, labels[lo:hi], n)
-    code = ups.astype(np.int32) * 256 + downs
-    vals, cnts = np.unique(code, return_counts=True)
-    return {(int(v) >> 8, int(v) & 255): int(c) for v, c in zip(vals, cnts)}
+    ups, downs = _flip_scan(labels[lo:hi], n)
+    counts = np.bincount(ups.astype(np.int32) * 256 + downs)
+    return {(int(v) >> 8, int(v) & 255): int(counts[v]) for v in np.flatnonzero(counts)}
 
 
 CENSUS_CHUNK = 1_000_000
@@ -488,7 +561,7 @@ def _maximal_by_flip_scan(n, cap=None):
     """maximal_vertices by a flip scan of all of R_n: the brute oracle."""
     _vertex_total(n, cap, streaming=True)
     labels = vertex_labels(n)
-    ups, _ = _flip_scan(labels, labels, n)
+    ups, _ = _flip_scan(labels, n)
     return _words(labels[ups == 0], n)
 
 

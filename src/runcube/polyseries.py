@@ -24,6 +24,8 @@ whose whole series (order + 1 blocks) would take more than
 PACKED_MAX_BYTES is refused with ResourceLimitError before anything is
 packed; a quotient checks the layout its bounds need so far at every step
 of the bound recurrence, so a huge order fails within a few steps.
+RationalGF.expand feeds that recurrence its sparse numerator and
+denominator tables, so nothing of size order + 1 exists before the check.
 
 FactoredGF is exact rational arithmetic in t for generating functions
 built from many small rational factors: the denominator stays a product
@@ -634,58 +636,7 @@ class TruncatedSeries:
                 "divisor constant term must be 1, got %s" % den.coeffs[0].render(),
                 index=0,
             )
-        # out_k = num_k - sum_j den_j * out_(k-j), so with B_k bounding the
-        # 1-norm of out_k, B_k = |num_k| + sum_j |den_j| * B_(k-j), and the
-        # degrees of out_k follow the same recurrence with max and +.  The
-        # divisor terms are collected as k reaches them, and the layout the
-        # bounds so far need is checked at every step, so an order too large
-        # for the cap is refused after a few steps, not after all of them.
-        arity = self.ring.arity
-        divisor = []
-        bounds = []
-        degrees = []
-        peak = 0
-        top = [0] * arity
-        for k in range(n + 1):
-            terms = den.coeffs[k].terms
-            if k and terms:
-                divisor.append((k, terms, _norm(terms), _degrees(terms, arity)))
-            terms = self.coeffs[k].terms
-            bound = _norm(terms)
-            deg = _degrees(terms, arity)
-            for j, _, dnorm, ddeg in divisor:
-                if bounds[k - j]:
-                    bound += dnorm * bounds[k - j]
-                    deg = list(map(max, deg, map(add, ddeg, degrees[k - j])))
-            bounds.append(bound)
-            degrees.append(deg)
-            peak = max(peak, bound)
-            top = list(map(max, top, deg))
-            _refuse_oversized("series quotient", top, peak, n + 1)
-        layout = _Layout(top, peak)
-        steps = [(j, [(c, layout.shift(e)) for e, c in t.items()]) for j, t, _, _ in divisor]
-        span = divisor[-1][0] if divisor else 0
-        packed = []
-        out = []
-        for k in range(n + 1):
-            terms = self.coeffs[k].terms
-            acc = layout.pack([terms]) if terms else 0
-            for j, pairs in steps:
-                if j > k:
-                    break
-                prev = packed[k - j]
-                if prev:
-                    for c, shift in pairs:
-                        acc -= c * (prev << shift)
-            packed.append(acc)
-            if k >= span:
-                # later steps reach back at most `span` powers of t, so this
-                # packed coefficient can be read and dropped
-                out += layout.unpack(packed[k - span])
-                packed[k - span] = None
-        for value in packed[len(out) :]:
-            out += layout.unpack(value)
-        return self._from_dicts(out, n)
+        return _divide(self.ring, lambda k: self.coeffs[k].terms, lambda k: den.coeffs[k].terms, n)
 
     def compose_geometric(self):
         """Return 1/(1 - self); requires zero constant coefficient."""
@@ -755,6 +706,68 @@ class TruncatedSeries:
         return "TruncatedSeries(%s + O(t^%d))" % (body, self.order + 1)
 
 
+def _divide(ring, num, den, order):
+    """num / den through t^order; num(k) and den(k) give the term dicts of t^k.
+
+    The term dicts may be None for a zero coefficient, and den(0) must be
+    the constant 1.  Nothing of size order + 1 is built before the bound
+    recurrence below has checked the layout, so a sparse rational function
+    is refused as cheaply as a dense series.
+    """
+    # out_k = num_k - sum_j den_j * out_(k-j), so with B_k bounding the
+    # 1-norm of out_k, B_k = |num_k| + sum_j |den_j| * B_(k-j), and the
+    # degrees of out_k follow the same recurrence with max and +.  The
+    # divisor terms are collected as k reaches them, and the layout the
+    # bounds so far need is checked at every step, so an order too large
+    # for the cap is refused after a few steps, not after all of them.
+    arity = ring.arity
+    divisor = []
+    bounds = []
+    degrees = []
+    peak = 0
+    top = [0] * arity
+    for k in range(order + 1):
+        terms = den(k)
+        if k and terms:
+            divisor.append((k, terms, _norm(terms), _degrees(terms, arity)))
+        terms = num(k) or {}
+        bound = _norm(terms)
+        deg = _degrees(terms, arity)
+        for j, _, dnorm, ddeg in divisor:
+            if bounds[k - j]:
+                bound += dnorm * bounds[k - j]
+                deg = list(map(max, deg, map(add, ddeg, degrees[k - j])))
+        bounds.append(bound)
+        degrees.append(deg)
+        peak = max(peak, bound)
+        top = list(map(max, top, deg))
+        _refuse_oversized("series quotient", top, peak, order + 1)
+    layout = _Layout(top, peak)
+    steps = [(j, [(c, layout.shift(e)) for e, c in t.items()]) for j, t, _, _ in divisor]
+    span = divisor[-1][0] if divisor else 0
+    packed = []
+    out = []
+    for k in range(order + 1):
+        terms = num(k)
+        acc = layout.pack([terms]) if terms else 0
+        for j, pairs in steps:
+            if j > k:
+                break
+            prev = packed[k - j]
+            if prev:
+                for c, shift in pairs:
+                    acc -= c * (prev << shift)
+        packed.append(acc)
+        if k >= span:
+            # later steps reach back at most `span` powers of t, so this
+            # packed coefficient can be read and dropped
+            out += layout.unpack(packed[k - span])
+            packed[k - span] = None
+    for value in packed[len(out) :]:
+        out += layout.unpack(value)
+    return TruncatedSeries._trusted(ring, [MultiPoly(ring, d) for d in out], order)
+
+
 class RationalGF:
     """Rational generating function N(t)/D(t) with polynomial coefficients.
 
@@ -783,9 +796,11 @@ class RationalGF:
         return out
 
     def expand(self, order):
-        num = TruncatedSeries.from_terms(self.ring, self.numerator, order)
-        den = TruncatedSeries.from_terms(self.ring, self.denominator, order)
-        return num.divide_by(den)
+        if order < 0:
+            raise DomainError("series order must be nonnegative")
+        num = {k: c.terms for k, c in self.numerator.items()}
+        den = {k: c.terms for k, c in self.denominator.items()}
+        return _divide(self.ring, num.get, den.get, order)
 
     def __repr__(self):
         def side(table):

@@ -28,8 +28,10 @@ up-neighbours, filled from the top down, and down[v] the mirror.  The
 interval [a, b] is up[a] & down[b], and mu(a, b) is -sum of mu(a, z)
 over its bits z other than b, walked upward with one bitset per mu value
 and one masked popcount per value.  The surveys run the kernel on all of
-R_n, the single-pair calls on the box a <= z <= b (as masks)
-of R_n's labels, which holds every chain from a to b.  R_n must fit the
+R_n, the single-pair calls on the box a <= z <= b (as masks) of R_n's
+labels, which holds every chain from a to b: there the kernel flips only
+the bits of b & ~a, since every other flip leaves the box, and one index
+array maps its R_n positions to box positions.  R_n must fit the
 vertex cap, as in `graph.build`, and the bitsets, about 2 V^2 / 8 bytes
 for V vertices, REACH_MAX_BYTES; both are checked before any scan, and a
 survey checks its largest n before its first report.
@@ -98,19 +100,25 @@ def _refuse_oversized(n, cap=None):
     _check_reach(n, graph._vertex_total(n, cap))
 
 
-def _reach(n, labels):
-    """(masks, up, down) of `labels`, a sorted array of label masks.
+def _reach(n, labels, bits=None, position=None):
+    """(masks, up, down) of `labels`, a sorted array of R_n's label masks.
 
     masks holds their full-string masks, and bit k of the int bitsets up[v]
     and down[v] stands for masks[k]: up[v] is what v reaches by valid
-    0 -> 1 flips, down[v] what reaches v, v included.
+    0 -> 1 flips, down[v] what reaches v, v included.  The flip scan tries
+    the label bits in `bits` (all n by default), and `position` maps its
+    R_n indices to indices in `labels` (the identity by default).
     """
     _check_reach(n, len(labels))
     edges = []
-    graph._flip_scan(labels, labels, n, edges)
-    src, dst = (np.concatenate(side) for side in zip(*edges))
-    # a flip that adds a bit leads to a larger mask, so to a higher bit
-    arcs = sorted(zip(src[src < dst].tolist(), dst[src < dst].tolist()))
+    graph._flip_scan(labels, n, edges, bits)
+    arcs = []
+    for src, dst in edges:
+        if position is not None:
+            dst = position[dst]
+        # a flip that adds a bit leads to a larger mask, so to a higher bit
+        arcs.extend(zip(src[src < dst].tolist(), dst[src < dst].tolist()))
+    arcs.sort()
     up = [1 << k for k in range(len(labels))]
     down = up[:]
     for lo, hi in reversed(arcs):
@@ -130,7 +138,8 @@ def _box(n, u, v, cap=None):
 
     Returns (masks, up, down, members): masks[0] is a, masks[-1] is b and
     members = up[0] & down[-1] is the interval's bitset; all are empty
-    when a is not contained in b.
+    when a is not contained in b.  Only the bits of b & ~a are flipped,
+    since any other flip leaves the box.
     """
     graph._vertex_total(n, cap)
     a = _to_mask(n, u) >> 2
@@ -138,7 +147,10 @@ def _box(n, u, v, cap=None):
     if a & ~b:
         return [], [], [], 0
     labels = graph.vertex_labels(n)
-    masks, up, down = _reach(n, labels[((labels & a) == a) & ((labels & ~b) == 0)])
+    inside = np.flatnonzero(((labels & a) == a) & ((labels & ~b) == 0))
+    position = np.empty(len(labels), dtype=np.int64)
+    position[inside] = np.arange(len(inside))
+    masks, up, down = _reach(n, labels[inside], list(_bits(b & ~a)), position)
     return masks, up, down, up[0] & down[-1]
 
 

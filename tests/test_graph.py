@@ -290,28 +290,85 @@ def test_maximal_gf_counts_the_up_degree_zero_census_to_150():
             assert sum(c for (u, _), c in census.items() if u == 0) == counts[k - 2], k - 2
 
 
-def lexsort_csr(n):
-    """R_n's CSR as build made it before the cursor fill: sort the flip-scan hits."""
-    labels = graph.vertex_labels(n)
+def searchsorted_scan(labels, n):
+    """(up, down, edges) of R_n by one searchsorted probe per label bit.
+
+    The flip scan as it ran before the rank tables, kept as the oracle:
+    every label is flipped at each bit and looked up among the sorted
+    labels; edges holds each bit's (vertex index, neighbour index) arrays.
+    """
+    nv = len(labels)
+    ups = np.zeros(nv, dtype=np.uint8)
+    downs = np.zeros(nv, dtype=np.uint8)
     edges = []
-    graph._flip_scan(labels, labels, n, edges)
+    for j in range(n):
+        bit = np.int64(1) << np.int64(j)
+        flipped = labels ^ bit
+        pos = np.searchsorted(labels, flipped)
+        pos[pos >= nv] = 0
+        member = labels[pos] == flipped
+        was_zero = (labels & bit) == 0
+        ups += member & was_zero
+        downs += member & ~was_zero
+        idx = np.nonzero(member)[0]
+        edges.append((idx, pos[idx]))
+    return ups, downs, edges
+
+
+def lexsort_csr(n):
+    """R_n's (indptr, indices, ups, downs) from the searchsorted scan, rows sorted."""
+    labels = graph.vertex_labels(n)
+    ups, downs, edges = searchsorted_scan(labels, n)
     src, dst = (np.concatenate(side) for side in zip(*edges))
     order = np.lexsort((dst, src))
     indptr = np.zeros(len(labels) + 1, dtype=np.int64)
     np.add.at(indptr, src[order] + 1, 1)
-    return np.cumsum(indptr), dst[order].astype(np.int64)
+    return np.cumsum(indptr), dst[order].astype(np.int64), ups, downs
 
 
-@pytest.mark.parametrize("n", range(1, 17))
+@pytest.mark.parametrize("n", range(1, 21))
 def test_build_csr_matches_the_lexsort_oracle(n):
     g = graph.build(n)
-    indptr, indices = lexsort_csr(n)
-    assert g.indptr.dtype == g.indices.dtype == np.int64
+    indptr, indices, ups, downs = lexsort_csr(n)
+    assert g.indptr.dtype == g.indices.dtype == indptr.dtype == indices.dtype == np.int64
     assert np.array_equal(g.indptr, indptr)
     assert np.array_equal(g.indices, indices)
+    assert g.up_degrees.dtype == g.down_degrees.dtype == np.uint8
+    assert np.array_equal(g.up_degrees, ups)
+    assert np.array_equal(g.down_degrees, downs)
     rows = np.repeat(np.arange(g.vertex_count), np.diff(g.indptr))
     same_row = rows[1:] == rows[:-1]
     assert (np.diff(g.indices)[same_row] > 0).all()
+
+
+def rank_lookup(n, masks):
+    """Index of each n-bit mask among R_n's labels by the rank tables, -1 if none."""
+    first, offset, rank = graph._rank_tables(n)
+    low = n // 2
+    r = rank[offset[masks >> low] + (masks & ((1 << low) - 1))]
+    return np.where(r >= 0, first[masks >> low] + r, -1)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_rank_tables_index_every_mask(n):
+    masks = np.arange(1 << n, dtype=np.int64)
+    got = rank_lookup(n, masks)
+    labels = graph.vertex_labels(n)
+    where = {m: i for i, m in enumerate(labels.tolist())}
+    for m, i in zip(masks.tolist(), got.tolist()):
+        word = strings.mask_to_word(m, n)
+        assert i == (where[m] if strings.is_run_constrained(word + "00") else -1), word
+    first, offset, rank = graph._rank_tables(n)
+    assert first.dtype == offset.dtype == rank.dtype == np.int32
+    # -1 exactly at the high parts no label has
+    used = np.bincount(labels >> np.int64(n // 2), minlength=len(first)) > 0
+    assert np.array_equal(first == -1, ~used)
+
+
+def test_rank_tables_rank_every_label_to_26():
+    for n in range(1, 27):
+        labels = graph.vertex_labels(n)
+        assert np.array_equal(rank_lookup(n, labels), np.arange(len(labels))), n
 
 
 def test_closed_form_edge_count():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -675,3 +677,22 @@ def test_series_over_the_cap_is_usage_error(monkeypatch, capsys, argv):
     monkeypatch.setattr(polyseries, "PACKED_MAX_BYTES", 1000)
     assert cli.main(argv) == 2
     assert "needs a packed layout" in capsys.readouterr().err
+
+
+def test_rational_expansion_refuses_before_it_allocates(capsys):
+    from runcube import cli
+
+    # the numerator and denominator stay sparse tables, so nothing of size
+    # order + 1 exists when the first step of the bound recurrence refuses
+    tracemalloc.start()
+    try:
+        code = cli.main(["gf", "--kind", "edge", "--order", "10000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: series quotient through t^10000000 needs a packed layout of"
+        " 270000027 bytes, cap is 268435456\n"
+    )
+    assert peak < 8 << 20
