@@ -87,23 +87,26 @@ def cmd_census(args):
 
 
 def cmd_gf(args):
+    """Write each coefficient as the quotient recurrence yields it.
+
+    A refused order raises before the first byte is written.  The JSON
+    document is the one _emit_json would print, written in pieces: the
+    header with an empty coefficient list, minus its closing "]}", then
+    each [k, terms] pair, then the closing "]}".
+    """
     gf = GF_KINDS[args.kind]()
-    series = gf.expand(args.order)
+    coeffs = gf.coefficients(args.order)
+    out = sys.stdout
     if args.format == "json":
-        _emit_json(
-            {
-                "kind": args.kind,
-                "order": args.order,
-                "variables": list(gf.ring.names),
-                "coefficients": [
-                    [k, series.coefficient(k).json_terms()]
-                    for k in range(args.order + 1)
-                ],
-            }
-        )
+        head = {"schema": 1, "kind": args.kind, "order": args.order,
+                "variables": list(gf.ring.names), "coefficients": []}
+        out.write(json.dumps(head, separators=(", ", ": "))[:-2])
+        for k, c in enumerate(coeffs):
+            out.write((", " if k else "") + json.dumps([k, c.json_terms()], separators=(", ", ": ")))
+        out.write("]}\n")
     else:
-        for k in range(args.order + 1):
-            print("t^%d: %s" % (k, series.coefficient(k).render()))
+        for k, c in enumerate(coeffs):
+            out.write("t^%d: %s\n" % (k, c.render()))
     return 0
 
 

@@ -15,17 +15,24 @@ where the strides and the block size come from a per-variable degree bound
 and the slot width of w bits is a whole number of bytes, at least two bits
 wider than a bound on every result coefficient.  Both bounds are computed from
 the operands before packing, so no slot can alias another or carry into
-it.  A product is one bigint multiply; a quotient keeps the divisor as
-(coefficient, shift) pairs and runs the division recurrence on packed
-coefficients.  Unpacking adds 2^(w-1) to every slot, reads the bytes once
-through numpy and converts only the slots that differ from that bias.
-Packing shifts by exponents, so a Ring refuses negative ones.  A layout
-whose whole series (order + 1 blocks) would take more than
+it.  A product is one bigint multiply.  A quotient groups the divisor by
+monomial and runs the division recurrence on packed coefficients: each
+step sums c * out_(k-j) per divisor monomial and shifts each sum once.
+The recurrence is a stream: it yields the coefficient of t^k as soon as it
+has computed it and keeps only the packed coefficients later steps read,
+so RationalGF.coefficients lets a caller such as `runcube gf` write each
+coefficient and drop it; RationalGF.expand and TruncatedSeries.divide_by
+collect the same stream into a series.  Unpacking reads only the slots up
+to the highest nonzero one, adds 2^(w-1) to each, reads their bytes once
+through numpy and converts the slots that differ from that bias in one
+pass.  Packing shifts by exponents, so a Ring refuses negative ones.  A
+layout whose whole series (order + 1 blocks) would take more than
 PACKED_MAX_BYTES is refused with ResourceLimitError before anything is
 packed; a quotient checks the layout its bounds need so far at every step
-of the bound recurrence, so a huge order fails within a few steps.
-RationalGF.expand feeds that recurrence its sparse numerator and
-denominator tables, so nothing of size order + 1 exists before the check.
+of the bound recurrence, before its stream yields anything, so a huge
+order fails within a few steps.  RationalGF.coefficients feeds that
+recurrence its sparse numerator and denominator tables, so nothing of
+size order + 1 exists before the check.
 
 FactoredGF is exact rational arithmetic in t for generating functions
 built from many small rational factors: the denominator stays a product
@@ -36,8 +43,9 @@ denominators, and 1/(1 - r) adds one factor.  Only the final function is
 multiplied out and expanded, once, through RationalGF.
 """
 
-from itertools import accumulate, repeat
-from operator import add, mul
+from collections import deque
+from itertools import accumulate, islice, repeat
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -449,28 +457,34 @@ class _Layout:
         return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
     def unpack(self, value, blocks=1):
-        """Term dicts of the first `blocks` blocks of a packed value."""
+        """Term dicts of the first `blocks` blocks of a packed value.
+
+        Only the live low end of the value is read.  Every slot, w = width
+        bytes wide, holds a coefficient below 2^(8w-2) in absolute value, so
+        when slot m is the highest nonzero one, |value| has between 8wm and
+        8w(m+1) - 1 bits:
+        the low |value|.bit_length() // 8w + 1 slots hold every term, and
+        adding 2^(8w-1) to each of them leaves each slot's biased
+        coefficient in its own w bytes.  Those bytes are read once through
+        numpy, and the slots that differ from the bias become ints in one
+        pass.
+        """
         w = self.width
-        size = w * self.block * blocks
+        slots = min(abs(value).bit_length() // (8 * w) + 1, self.block * blocks)
+        size = w * slots
         half = 1 << (8 * w - 1)
-        bias = int.from_bytes(half.to_bytes(w, "little") * (self.block * blocks), "little")
+        bias = int.from_bytes(half.to_bytes(w, "little") * slots, "little")
         data = ((value + bias) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
         rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, w)
         # an empty slot reads as the bias: low bytes 0, top byte 0x80
         live = np.flatnonzero(rows[:, :-1].any(axis=1) | (rows[:, -1] != 0x80))
+        words = np.frombuffer(data, "V%d" % w)[live].tolist()
+        coeffs = map(sub, map(int.from_bytes, words, repeat("little")), repeat(half))
+        rest = live % self.block
+        cols = [((rest // s) % dim).tolist() for s, dim in zip(self.strides, self.dims)]
+        terms = zip(zip(*cols) if cols else repeat((), len(live)), coeffs)
         ends = np.searchsorted(live, self.block * np.arange(1, blocks + 1)).tolist()
-        out = []
-        start = 0
-        for end in ends:
-            slots = live[start:end]
-            rest = slots % self.block
-            cols = [((rest // s) % dim).tolist() for s, dim in zip(self.strides, self.dims)]
-            keys = zip(*cols) if cols else repeat((), end - start)
-            offsets = (slots * w).tolist()
-            coeffs = (int.from_bytes(data[at : at + w], "little") - half for at in offsets)
-            out.append(dict(zip(keys, coeffs)))
-            start = end
-        return out
+        return [dict(islice(terms, end - start)) for start, end in zip([0] + ends, ends)]
 
 
 class TruncatedSeries:
@@ -636,7 +650,8 @@ class TruncatedSeries:
                 "divisor constant term must be 1, got %s" % den.coeffs[0].render(),
                 index=0,
             )
-        return _divide(self.ring, lambda k: self.coeffs[k].terms, lambda k: den.coeffs[k].terms, n)
+        coeffs = _divide(self.ring, lambda k: self.coeffs[k].terms, lambda k: den.coeffs[k].terms, n)
+        return TruncatedSeries._trusted(self.ring, list(coeffs), n)
 
     def compose_geometric(self):
         """Return 1/(1 - self); requires zero constant coefficient."""
@@ -707,12 +722,15 @@ class TruncatedSeries:
 
 
 def _divide(ring, num, den, order):
-    """num / den through t^order; num(k) and den(k) give the term dicts of t^k.
+    """Iterator over the coefficients of num / den through t^order, as MultiPoly.
 
-    The term dicts may be None for a zero coefficient, and den(0) must be
-    the constant 1.  Nothing of size order + 1 is built before the bound
-    recurrence below has checked the layout, so a sparse rational function
-    is refused as cheaply as a dense series.
+    num(k) and den(k) give the term dicts of t^k; they may be None for a
+    zero coefficient, and den(0) must be the constant 1.  The bound
+    recurrence below runs, and refuses an oversized layout, before this
+    returns; nothing of size order + 1 is built before it, so a sparse
+    rational function is refused as cheaply as a dense series.  The
+    iterator then yields each coefficient as soon as the division
+    recurrence has computed it.
     """
     # out_k = num_k - sum_j den_j * out_(k-j), so with B_k bounding the
     # 1-norm of out_k, B_k = |num_k| + sum_j |den_j| * B_(k-j), and the
@@ -743,29 +761,43 @@ def _divide(ring, num, den, order):
         top = list(map(max, top, deg))
         _refuse_oversized("series quotient", top, peak, order + 1)
     layout = _Layout(top, peak)
-    steps = [(j, [(c, layout.shift(e)) for e, c in t.items()]) for j, t, _, _ in divisor]
+    # the divisor grouped by monomial, each with its (t power, coefficient)
+    # pairs in ascending t power, so each step shifts once per monomial
+    groups = {}
+    for j, terms, _, _ in divisor:
+        for e, c in terms.items():
+            groups.setdefault(layout.shift(e), []).append((j, c))
     span = divisor[-1][0] if divisor else 0
-    packed = []
-    out = []
+    return _recur(ring, layout, num, list(groups.items()), span, order)
+
+
+def _recur(ring, layout, num, groups, span, order):
+    """The division recurrence of _divide, yielding each coefficient as it is computed.
+
+    Step k sums c * out_(k-j) over the pairs of each divisor monomial, then
+    shifts that sum once into place.  Only the last `span` packed
+    coefficients are kept, since no step reaches further back.
+    """
+    window = deque(maxlen=span)
     for k in range(order + 1):
         terms = num(k)
         acc = layout.pack([terms]) if terms else 0
-        for j, pairs in steps:
-            if j > k:
-                break
-            prev = packed[k - j]
-            if prev:
-                for c, shift in pairs:
-                    acc -= c * (prev << shift)
-        packed.append(acc)
-        if k >= span:
-            # later steps reach back at most `span` powers of t, so this
-            # packed coefficient can be read and dropped
-            out += layout.unpack(packed[k - span])
-            packed[k - span] = None
-    for value in packed[len(out) :]:
-        out += layout.unpack(value)
-    return TruncatedSeries._trusted(ring, [MultiPoly(ring, d) for d in out], order)
+        for shift, pairs in groups:
+            total = 0
+            for j, c in pairs:
+                if j > k:
+                    break
+                prev = window[-j]
+                if c == 1:
+                    total += prev
+                elif c == -1:
+                    total -= prev
+                else:
+                    total += c * prev
+            if total:
+                acc -= total << shift
+        window.append(acc)
+        yield MultiPoly(ring, layout.unpack(acc)[0])
 
 
 class RationalGF:
@@ -795,12 +827,21 @@ class RationalGF:
                 out[int(k)] = c
         return out
 
-    def expand(self, order):
+    def coefficients(self, order):
+        """Iterator over the MultiPoly coefficients of t^0 .. t^order.
+
+        An order too large for the packed layout is refused here, before
+        the iterator exists; each coefficient is then computed when the
+        iterator reaches it, so a caller can write it out and drop it.
+        """
         if order < 0:
             raise DomainError("series order must be nonnegative")
         num = {k: c.terms for k, c in self.numerator.items()}
         den = {k: c.terms for k, c in self.denominator.items()}
         return _divide(self.ring, num.get, den.get, order)
+
+    def expand(self, order):
+        return TruncatedSeries._trusted(self.ring, list(self.coefficients(order)), order)
 
     def __repr__(self):
         def side(table):

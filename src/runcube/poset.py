@@ -172,10 +172,7 @@ def _to_mask(n, vertex):
         mask = strings.word_to_mask(vertex + "00")
     else:
         mask = int(vertex) << 2
-    full = n + 2
-    if not 0 <= mask < 1 << full or not strings.is_run_constrained(
-        strings.mask_to_word(mask, full)
-    ):
+    if not 0 <= mask < 1 << (n + 2) or not strings.mask_is_run_constrained(mask):
         raise ValidationError("not a vertex of R_%d: %r" % (n, vertex))
     return mask
 

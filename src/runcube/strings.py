@@ -188,6 +188,9 @@ def rc_masks(length):
     Built bottom up: level L is level L-1 behind a leading zero, then each
     letter 1^r 0^(r+1) in front of level L-2r-1.  Prefixes are emitted in
     increasing numeric order, so the result is ascending without a sort.
+    Each level is filled into one preallocated array, and the last level
+    reads only the levels of the other parity, so the rest are dropped
+    before it is built: the peak is about twice the result.
     Lengths of 64 or more would wrap int64 and raise DomainError.
     """
     if length < 0:
@@ -195,14 +198,17 @@ def rc_masks(length):
     _require_int64(length)
     levels = [np.zeros(1, dtype=np.int64)]
     for L in range(1, length + 1):
-        parts = [levels[L - 1]]
-        r = 1
-        while 2 * r + 1 <= L:
-            head = np.int64(((1 << r) - 1) << (r + 1))
-            shift = L - 2 * r - 1
-            parts.append((head << np.int64(shift)) + levels[shift])
-            r += 1
-        levels.append(np.concatenate(parts))
+        if L == length:
+            for i in range(L % 2, L, 2):
+                levels[i] = None
+        parts = [(levels[L - 1], 0)]
+        parts += [(levels[L - 2 * r - 1], ((1 << r) - 1) << (L - r)) for r in range(1, (L + 1) // 2)]
+        out = np.empty(sum(len(part) for part, _ in parts), np.int64)
+        at = 0
+        for part, head in parts:
+            np.add(part, head, out=out[at : at + len(part)])
+            at += len(part)
+        levels.append(out)
     return levels[length]
 
 
@@ -293,6 +299,22 @@ def word_to_mask(word):
     """Integer whose binary digits (MSB first) spell the word."""
     _check_binary(word)
     return int(word, 2) if word else 0
+
+
+def mask_is_run_constrained(mask):
+    """is_run_constrained on the binary digits of a nonnegative int, MSB first.
+
+    Leading zeros never matter, so the mask needs no length.  Each 1-run is
+    read from the low end: the zeros below it are the zeros that follow it.
+    """
+    while mask:
+        gap = (mask & -mask).bit_length() - 1
+        mask >>= gap
+        run = (mask ^ (mask + 1)).bit_length() - 1
+        if gap <= run:
+            return False
+        mask >>= run
+    return True
 
 
 def mask_to_word(mask, length):

@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
 import json
+import os
+import tracemalloc
 
 import pytest
 
@@ -97,6 +100,61 @@ def test_gf_every_kind_runs(capsys):
     for kind in sorted(cli.GF_KINDS):
         code, _, _ = run(["gf", "--kind", kind, "--order", "6"], capsys)
         assert code == 0
+
+
+def gf_document(kind, order, fmt):
+    """The whole gf output built at once: one json.dumps of the full payload."""
+    gf = cli.GF_KINDS[kind]()
+    coeffs = gf.expand(order).coeffs
+    if fmt == "text":
+        return "".join("t^%d: %s\n" % (k, c.render()) for k, c in enumerate(coeffs))
+    payload = {
+        "schema": 1,
+        "kind": kind,
+        "order": order,
+        "variables": list(gf.ring.names),
+        "coefficients": [[k, c.json_terms()] for k, c in enumerate(coeffs)],
+    }
+    return json.dumps(payload, separators=(", ", ": ")) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("order", [0, 1, 7, 60])
+@pytest.mark.parametrize("kind", sorted(cli.GF_KINDS))
+def test_streamed_gf_equals_the_whole_document(capsys, kind, order, fmt):
+    code, out, err = run(["gf", "--kind", kind, "--order", str(order), "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert out == gf_document(kind, order, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "kind, order, need",
+    [("edge", 10000000, 270000027), ("updown", 251, 272051136)],
+)
+def test_refused_gf_writes_nothing_to_stdout(capsys, kind, order, need, fmt):
+    code, out, err = run(["gf", "--kind", kind, "--order", str(order), "--format", fmt], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: series quotient through t^%d needs a packed layout of %d bytes, cap is 268435456\n"
+        % (order, need)
+    )
+
+
+def test_streamed_gf_holds_one_coefficient_at_a_time():
+    # the whole order-150 updown document, its term tree and its series
+    # take about 80 MB of traced memory at once; streamed, the largest
+    # live object is the packed window of the quotient recurrence
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            code = cli.main(["gf", "--kind", "updown", "--order", "150", "--format", "json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 << 20
 
 
 # sha256 of the JSON output, recorded with the dict-convolution series code

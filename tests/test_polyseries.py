@@ -373,6 +373,77 @@ def test_expansions_multiply_back_to_numerator(gf):
     assert (s * den).agrees_with(num)
 
 
+@given(series_pairs(unit=True), st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_coefficient_stream_is_the_expansion(pair, order):
+    num, den = pair
+    gf = RationalGF(num.ring, dict(enumerate(num.coeffs)), dict(enumerate(den.coeffs)))
+    assert list(gf.coefficients(order)) == gf.expand(order).coeffs
+
+
+@pytest.mark.parametrize("make", [enumerators.updown_gf, enumerators.edge_gf, poset.rank_gf])
+def test_coefficient_stream_refuses_before_it_starts(make):
+    gf = make()
+    assert list(gf.coefficients(30)) == gf.expand(30).coeffs
+    # a refused order raises from the call itself, not from the first next()
+    with pytest.raises(ResourceLimitError, match="series quotient"):
+        gf.coefficients(10 ** 7)
+    with pytest.raises(DomainError):
+        gf.coefficients(-1)
+
+
+# --- the Kronecker layout: pack and unpack --------------------------------------
+
+
+@st.composite
+def packed_blocks(draw):
+    """(layout, term dicts of some blocks, how many leading blocks to unpack).
+
+    The exponents stay inside a random low corner of the box, often far
+    inside it, and the coefficients reach +-bound, the extremes a slot must hold.
+    """
+    arity = draw(st.integers(0, 3))
+    degrees = draw(st.lists(st.integers(0, 6), min_size=arity, max_size=arity))
+    bound = draw(st.one_of(st.sampled_from([1, 63, 64, 2 ** 62, 2 ** 200]), st.integers(1, 2 ** 90)))
+    layout = polyseries._Layout(degrees, bound)
+    corner = [draw(st.integers(0, d)) for d in degrees]
+    coeff = st.one_of(st.sampled_from([-bound, -1, 1, bound]), st.integers(-bound, bound))
+    term = st.tuples(st.tuples(*[st.integers(0, r) for r in corner]), coeff)
+    block = st.lists(term, max_size=6).map(lambda items: {e: c for e, c in items if c})
+    blocks = draw(st.lists(block, min_size=1, max_size=4))
+    return layout, blocks, draw(st.integers(1, len(blocks)))
+
+
+@given(packed_blocks())
+@settings(max_examples=300, deadline=None)
+def test_layout_round_trip(case):
+    # unpacking fewer blocks than were packed is what a truncated series
+    # product does: the blocks past the order carry live terms that the
+    # unpack must leave out without disturbing the ones it keeps
+    layout, blocks, kept = case
+    assert layout.unpack(layout.pack(blocks), kept) == blocks[:kept]
+
+
+@pytest.mark.parametrize(
+    "degrees, bound, blocks",
+    [
+        ([3], 5, [{}]),  # the zero value
+        ([3], 5, [{(3,): -1}]),  # -1 alone in the top slot of the box
+        ([3], 5, [{(0,): 5, (2,): -5}]),  # negative top slot above a positive one
+        # |value| = 2^(8w*2) - 1, the fewest bits a top slot 2 can leave
+        ([3], 5, [{(0,): 1, (2,): -1}]),
+        ([3], 5, [{(0,): -1, (2,): 1}]),
+        ([40, 40], 2 ** 64, [{(0, 0): -(2 ** 64)}]),  # one slot of a 1681-slot box
+        ([2], 1, [{(1,): -1}, {}, {(0,): 1, (2,): -1}]),  # negative top slot, last block
+    ],
+)
+def test_layout_round_trip_edges(degrees, bound, blocks):
+    layout = polyseries._Layout(degrees, bound)
+    value = layout.pack(blocks)
+    assert layout.unpack(value, len(blocks)) == blocks
+    assert layout.unpack(value) == blocks[:1]
+
+
 # --- substitution kernel: map_onto, substitute and evaluate_at ----------------
 
 XY = Ring(("x", "y"))

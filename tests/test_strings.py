@@ -1,4 +1,5 @@
 from itertools import product
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -57,6 +58,19 @@ def test_enumeration_counts_are_fibonacci():
 def test_enumeration_is_the_run_constrained_subset(length):
     every = ["".join(bits) for bits in product("01", repeat=length)]
     assert strings.enumerate_rc(length) == [w for w in every if brute_is_rc(w)]
+
+
+def test_rc_masks_peak_is_about_twice_its_result():
+    # the last level and the levels of the other parity that it reads; a
+    # build that kept every level and concatenated temporaries peaked at 3x
+    tracemalloc.start()
+    try:
+        masks = strings.rc_masks(26)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(masks) == strings.fibonacci(26)
+    assert peak < 2.2 * masks.nbytes
 
 
 def test_enumeration_is_sorted_and_valid():
@@ -136,6 +150,13 @@ def test_mask_word_roundtrip():
 @given(st.text(alphabet="01", max_size=24))
 def test_validator_matches_run_scan(word):
     assert strings.is_run_constrained(word) == brute_is_rc(word)
+
+
+@pytest.mark.parametrize("length", range(13))
+def test_mask_validator_matches_run_scan_on_every_word(length):
+    for bits in product("01", repeat=length):
+        word = "".join(bits)
+        assert strings.mask_is_run_constrained(strings.word_to_mask(word)) == brute_is_rc(word)
 
 
 @given(st.text(alphabet="01", max_size=24))
