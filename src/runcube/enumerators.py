@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import config, graph, strings
-from .polyseries import FactoredGF, RationalGF, Ring, TruncatedSeries, t_poly_multiply
+from .polyseries import RationalGF, Ring, TruncatedSeries
 from .report import Report
 
 UD = Ring(("u", "d"))
@@ -143,19 +143,15 @@ def maximal_gf():
 
 def edge_gf():
     """GF of the edge counts, t(1-t^4)/(1-t-t^2)^2."""
-    num = {1: 1, 5: -1}
-    den = t_poly_multiply(SCALAR, {0: 1, 1: -1, 2: -1}, {0: 1, 1: -1, 2: -1})
-    return RationalGF(SCALAR, num, den)
+    fib = {0: 1, 1: -1, 2: -1}
+    return RationalGF(SCALAR, {1: 1, 5: -1}, fib) * RationalGF(SCALAR, {0: 1}, fib)
 
 
 def edge_derivative_gf():
     """d/dd of the down GF as printed: t(1-t^2)(1+(2d-1)t^2) over D_down^2."""
     d = UD.var("d")
-    num = t_poly_multiply(
-        UD, t_poly_multiply(UD, {1: 1}, {0: 1, 2: -1}), {0: 1, 2: 2 * d - 1}
-    )
     dden = {0: 1, 1: -1, 2: -1, 3: -(d - 1), 5: -d * (d - 1)}
-    return RationalGF(UD, num, t_poly_multiply(UD, dden, dden))
+    return RationalGF(UD, {1: 1, 3: -1}, dden) * RationalGF(UD, {0: 1, 2: 2 * d - 1}, dden)
 
 
 def gf_updown_closed(order):
@@ -209,7 +205,7 @@ def _case_factors():
     """Shared rational pieces: G, 1/(1-ut), X, Y, and the block geometric."""
     u = UD.var("u")
     d = UD.var("d")
-    tp = lambda terms: FactoredGF.polynomial(UD, terms)
+    tp = lambda terms: RationalGF(UD, terms)
     inv1 = tp({1: u}).geometric()          # 1/(1-ut)
     geom_t2 = tp({2: 1}).geometric()       # 1/(1-t^2)
     G = tp({3: d}) + tp({5: d * d}) * geom_t2

@@ -4,8 +4,8 @@ Polynomials live over a small registry of named variables (a Ring) and keep
 integer coefficients in a dict keyed by exponent vectors, so no precision is
 ever lost.  Truncated series are lists of such polynomials indexed by the
 power of the formal variable t; all series arithmetic is exact up to the
-truncation order.  RationalGF expands a rational generating function
-whose denominator has constant term 1 via the usual division recurrence.
+truncation order.  RationalGF holds a rational generating function whose
+denominator has constant term 1 and expands it by the division recurrence.
 
 Series products, division and the geometric inverse run on Kronecker-packed
 bigints (Kronecker substitution; D. Harvey, J. Symbolic Comput. 44 (2009)).
@@ -34,13 +34,14 @@ order fails within a few steps.  RationalGF.coefficients feeds that
 recurrence its sparse numerator and denominator tables, so nothing of
 size order + 1 exists before the check.
 
-FactoredGF is exact rational arithmetic in t for generating functions
-built from many small rational factors: the denominator stays a product
-of factor polynomials with multiplicities, so a product adds
-multiplicities (a factor that a geometric moved into the numerator cancels
-against the denominator), a sum works over the lcm of the two
-denominators, and 1/(1 - r) adds one factor.  Only the final function is
-multiplied out and expanded, once, through RationalGF.
+RationalGF is the one exact rational type in t, for generating functions
+given as printed tables or built from many small rational factors: the
+denominator stays a product of factor polynomials with multiplicities (a
+table's denominator is one factor), so a product adds multiplicities (a
+factor that a geometric moved into the numerator cancels against the
+denominator), a sum works over the lcm of the two denominators, and
+1/(1 - r) adds one factor.  Only the final function is multiplied out and
+expanded, once.
 """
 
 from collections import deque
@@ -517,14 +518,19 @@ class TruncatedSeries:
 
     @classmethod
     def from_terms(cls, ring, terms, order):
-        """Build from {t power: coefficient}, coefficients ints or MultiPoly."""
+        """Build from {t power: coefficient}, coefficients ints or MultiPoly.
+
+        Powers above `order` are truncated; a negative power is refused.
+        """
         if order < 0:
             raise DomainError("series order must be nonnegative")
         coeffs = [ring.zero()] * (order + 1)
         for k, c in terms.items():
+            if k < 0:
+                raise DomainError("t powers must be nonnegative, got %d" % k)
             if isinstance(c, int):
                 c = ring.const(c)
-            if 0 <= k <= order:
+            if k <= order:
                 # the sum refuses a coefficient from another registry
                 coeffs[k] = coeffs[k] + c
         return cls._trusted(ring, coeffs, order)
@@ -800,106 +806,78 @@ def _recur(ring, layout, num, groups, span, order):
         yield MultiPoly(ring, layout.unpack(acc)[0])
 
 
-class RationalGF:
-    """Rational generating function N(t)/D(t) with polynomial coefficients.
-
-    Numerator and denominator are {t power: MultiPoly or int} dicts over a
-    shared registry; the denominator must have constant term exactly 1 so
-    the series expansion is integral.
-    """
-
-    def __init__(self, ring, numerator, denominator):
-        self.ring = ring
-        self.numerator = self._clean(numerator)
-        self.denominator = self._clean(denominator)
-        d0 = self.denominator.get(0, ring.zero())
-        if d0 != ring.one():
-            raise SeriesError("denominator constant term must be 1, got %s" % d0.render())
-
-    def _clean(self, table):
-        out = {}
-        for k, c in table.items():
-            if isinstance(c, int):
-                c = self.ring.const(c)
-            if c.ring != self.ring:
-                raise RegistryError("coefficient registry mismatch at t^%d" % k)
-            if c:
-                out[int(k)] = c
-        return out
-
-    def coefficients(self, order):
-        """Iterator over the MultiPoly coefficients of t^0 .. t^order.
-
-        An order too large for the packed layout is refused here, before
-        the iterator exists; each coefficient is then computed when the
-        iterator reaches it, so a caller can write it out and drop it.
-        """
-        if order < 0:
-            raise DomainError("series order must be nonnegative")
-        num = {k: c.terms for k, c in self.numerator.items()}
-        den = {k: c.terms for k, c in self.denominator.items()}
-        return _divide(self.ring, num.get, den.get, order)
-
-    def expand(self, order):
-        return TruncatedSeries._trusted(self.ring, list(self.coefficients(order)), order)
-
-    def __repr__(self):
-        def side(table):
-            return " + ".join(
-                "(%s)*t^%d" % (c.render(), k) for k, c in sorted(table.items())
-            ) or "0"
-        return "RationalGF((%s) / (%s))" % (side(self.numerator), side(self.denominator))
+def _t_terms(ring, table):
+    """Term dict, power of t first, of the sum of c * t^k over {k: c}; c an int or MultiPoly."""
+    out = {}
+    for k, c in table.items():
+        t = _exponents((int(k),))
+        if isinstance(c, int):
+            c = ring.const(c)
+        if c.ring != ring:
+            raise RegistryError("coefficient registry mismatch at t^%d" % k)
+        _add_into(out, {t + e: v for e, v in c.terms.items()})
+    return out
 
 
-def _by_t_power(ring, terms):
-    """{t power: MultiPoly} from a term dict whose exponents carry the power of t first."""
+def _by_t_power(terms):
+    """{t power: term dict} from a term dict whose exponents carry the power of t first."""
     rows = {}
     for (k, *exps), c in terms.items():
         rows.setdefault(k, {})[tuple(exps)] = c
-    return {k: MultiPoly(ring, row) for k, row in rows.items()}
+    return rows
 
 
-class FactoredGF:
+class RationalGF:
     """Exact rational function num * prod(f^m) in t over a ring.
 
-    `num` and every factor f are polynomials in t with coefficients in the
-    ring, held as one term dict each whose exponent vectors put the power of
-    t first.  Each factor has constant term 1 and is keyed by its frozen
-    term set; its multiplicity m is a nonzero integer, negative for a
-    denominator factor and positive for one that a geometric moved into the
-    numerator.  A product adds multiplicities, so such a factor cancels
-    against the same denominator factor.  A sum keeps each factor at the
-    smaller of its two multiplicities (for the denominator, the lcm of the
-    two denominators) and multiplies the rest into each numerator.  For
-    r = N/D with zero constant term, 1/(1 - r) = D/(D - N) moves D's factors
-    into the numerator and adds D - N as one new denominator factor.
-    expand() multiplies every factor out and divides once, through
-    RationalGF.
+    RationalGF(ring, numerator, denominator=None) takes {t power: MultiPoly
+    or int} tables; the denominator must have constant term exactly 1, so
+    the series expansion is integral.  `num` and every factor f are held as
+    one term dict each whose exponent vectors put the power of t first.
+    Each factor has constant term 1 and is keyed by its frozen term set; its
+    multiplicity m is a nonzero integer, negative for a denominator factor
+    (a table denominator is one factor of multiplicity -1) and positive for
+    one that a geometric moved into the numerator.  A product adds
+    multiplicities, so such a factor cancels against the same denominator
+    factor.  A sum keeps each factor at the smaller of its two
+    multiplicities (for the denominator, the lcm of the two denominators)
+    and multiplies the rest into each numerator.  For r = N/D with zero
+    constant term, 1/(1 - r) = D/(D - N) moves D's factors into the
+    numerator and adds D - N as one new denominator factor.  `numerator`
+    and `denominator` are {t power: MultiPoly} tables with every factor
+    multiplied out; coefficients() multiplies out once and divides.
     """
 
     __slots__ = ("ring", "num", "factors")
 
-    def __init__(self, ring, num, factors=None):
+    def __init__(self, ring, numerator, denominator=None):
+        self.ring = ring
+        self.num = _t_terms(ring, numerator)
+        self.factors = {}
+        if denominator is not None:
+            one = (0,) * (ring.arity + 1)
+            den = _t_terms(ring, denominator)
+            d0 = {e[1:]: c for e, c in den.items() if e[0] == 0}
+            if d0 != {one[1:]: 1}:
+                raise SeriesError(
+                    "denominator constant term must be 1, got %s" % MultiPoly(ring, d0).render()
+                )
+            if den != {one: 1}:
+                self.factors[frozenset(den.items())] = -1
+
+    @classmethod
+    def _trusted(cls, ring, num, factors=None):
+        """A function from a term dict and factors already known to be over `ring`."""
+        self = object.__new__(cls)
         self.ring = ring
         self.num = num
         self.factors = factors or {}
-
-    @classmethod
-    def polynomial(cls, ring, table):
-        """The polynomial sum of c * t^k over {k: c}, coefficients ints or MultiPoly."""
-        num = {}
-        for k, c in table.items():
-            if isinstance(c, int):
-                c = ring.const(c)
-            if c.ring != ring:
-                raise RegistryError("coefficient registry mismatch at t^%d" % k)
-            _add_into(num, {_exponents((k,) + e): v for e, v in c.terms.items()})
-        return cls(ring, num)
+        return self
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return FactoredGF.polynomial(self.ring, {0: other})
-        if isinstance(other, FactoredGF):
+            return RationalGF(self.ring, {0: other})
+        if isinstance(other, RationalGF):
             _check_same_ring(self, other)
             return other
         return None
@@ -913,7 +891,7 @@ class FactoredGF:
             m += factors.pop(f, 0)
             if m:
                 factors[f] = m
-        return FactoredGF(self.ring, _mul_terms(self.num, other.num), factors)
+        return RationalGF._trusted(self.ring, _mul_terms(self.num, other.num), factors)
 
     __rmul__ = __mul__
 
@@ -931,12 +909,12 @@ class FactoredGF:
         }
         num = self._over(common)
         _add_into(num, other._over(common))
-        return FactoredGF(self.ring, num, {f: m for f, m in common.items() if m})
+        return RationalGF._trusted(self.ring, num, {f: m for f, m in common.items() if m})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FactoredGF(self.ring, {e: -c for e, c in self.num.items()}, self.factors)
+        return RationalGF._trusted(self.ring, {e: -c for e, c in self.num.items()}, self.factors)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -964,50 +942,45 @@ class FactoredGF:
                     den = _mul_terms(den, dict(f))
         return num, den
 
+    def _table(self, side):
+        """{t power: MultiPoly} of the multiplied-out numerator (0) or denominator (1)."""
+        return {k: MultiPoly(self.ring, row) for k, row in _by_t_power(self._sides()[side]).items()}
+
+    numerator = property(lambda self: self._table(0))
+    denominator = property(lambda self: self._table(1))
+
     def geometric(self):
         """Return 1/(1 - self); requires zero constant term."""
         one = (0,) * (self.ring.arity + 1)
+        unit = lambda factors: RationalGF._trusted(self.ring, {one: 1}, factors)
         if any(e[0] == 0 for e in self.num):
             raise SeriesError("geometric composition needs zero constant term", index=0)
         if not self.num:
-            return FactoredGF(self.ring, {one: 1})
+            return unit({})
         num, den = self._sides()
         new = dict(den)
         _add_into(new, num, -1)
-        moved = FactoredGF(self.ring, {one: 1}, {f: -m for f, m in self.factors.items() if m < 0})
-        return moved * FactoredGF(self.ring, {one: 1}, {frozenset(new.items()): -1})
+        moved = unit({f: -m for f, m in self.factors.items() if m < 0})
+        return moved * unit({frozenset(new.items()): -1})
 
-    def rational(self):
-        """The same function as a RationalGF, numerator and denominator multiplied out."""
-        num, den = self._sides()
-        return RationalGF(self.ring, _by_t_power(self.ring, num), _by_t_power(self.ring, den))
+    def coefficients(self, order):
+        """Iterator over the MultiPoly coefficients of t^0 .. t^order.
+
+        An order too large for the packed layout is refused here, before
+        the iterator exists; each coefficient is then computed when the
+        iterator reaches it, so a caller can write it out and drop it.
+        """
+        if order < 0:
+            raise DomainError("series order must be nonnegative")
+        num, den = map(_by_t_power, self._sides())
+        return _divide(self.ring, num.get, den.get, order)
 
     def expand(self, order):
-        return self.rational().expand(order)
+        return TruncatedSeries._trusted(self.ring, list(self.coefficients(order)), order)
 
     def __repr__(self):
-        return "FactoredGF(%r)" % self.rational()
-
-
-def t_poly_multiply(ring, a, b):
-    """Convolve two {t power: coefficient} tables over a shared registry.
-
-    Coefficients may be ints or MultiPoly; handy for building rational GFs
-    whose printed numerators or denominators are products of small factors.
-    """
-    def clean(table):
-        out = {}
-        for k, c in table.items():
-            if isinstance(c, int):
-                c = ring.const(c)
-            if c:
-                out[int(k)] = c
-        return out
-
-    a = clean(a)
-    b = clean(b)
-    prod = {}
-    for i, ca in a.items():
-        for j, cb in b.items():
-            prod[i + j] = prod.get(i + j, ring.zero()) + ca * cb
-    return {k: c for k, c in prod.items() if c}
+        def side(table):
+            return " + ".join(
+                "(%s)*t^%d" % (c.render(), k) for k, c in sorted(table.items())
+            ) or "0"
+        return "RationalGF((%s) / (%s))" % (side(self.numerator), side(self.denominator))

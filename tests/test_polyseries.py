@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from runcube import embedding, enumerators, polyseries, poset
 from runcube.errors import DomainError, RegistryError, ResourceLimitError, SeriesError
-from runcube.polyseries import FactoredGF, MultiPoly, RationalGF, Ring, TruncatedSeries
+from runcube.polyseries import MultiPoly, RationalGF, Ring, TruncatedSeries
 
 R2 = Ring(("u", "d"))
 
@@ -351,6 +351,30 @@ def test_rational_gf_rejects_bad_denominator():
         RationalGF(R2, {0: 1}, {1: 1})
 
 
+def test_negative_t_powers_are_refused():
+    ring = Ring(("u",))
+    with pytest.raises(DomainError):
+        RationalGF(ring, {-1: 1, 1: 1}, {0: 1})
+    with pytest.raises(DomainError):
+        RationalGF(ring, {0: 1}, {0: 1, -2: 7})
+    with pytest.raises(DomainError):
+        RationalGF(ring, {-1: 0, 1: 1})
+    with pytest.raises(DomainError):
+        TruncatedSeries.from_terms(ring, {-1: 5, 1: 2}, 3)
+    # powers above the order are truncated
+    s = TruncatedSeries.from_terms(ring, {1: 2, 4: 5}, 3)
+    assert s.integer_coefficients() == [0, 2, 0, 0]
+
+
+def test_edge_gf_denominator_is_the_squared_fibonacci_factor():
+    # (1 - t - t^2)^2, from two table-built factors that share it
+    gf = enumerators.edge_gf()
+    want = {0: 1, 1: -2, 2: -1, 3: 2, 4: 1}
+    assert gf.denominator == {k: gf.ring.const(c) for k, c in want.items()}
+    assert gf.numerator == {1: gf.ring.const(1), 5: gf.ring.const(-1)}
+    assert list(gf.factors.values()) == [-2]
+
+
 @pytest.mark.parametrize(
     "gf",
     [
@@ -570,14 +594,16 @@ X1 = Ring(("x",))
 
 def atoms(ring):
     """Rational pieces over `ring` that share factors: 1/(1 - v t), 1/(1 - t^2),
-    1/(1 - t - v t^3), and a nested geometric whose numerator holds 1 - t^2."""
+    1/(1 - t - v t^3), a nested geometric whose numerator holds 1 - t^2, and
+    1/(1 - t - v t^2) from the table constructor."""
     v = ring.var(ring.names[0])
-    tp = lambda table: FactoredGF.polynomial(ring, table)
+    tp = lambda table: RationalGF(ring, table)
     g1 = tp({1: v}).geometric()
     g2 = tp({2: 1}).geometric()
     g3 = tp({1: 1, 3: v}).geometric()
     nested = (tp({3: v}) + tp({5: v * v}) * g2).geometric()
-    return [g1, g2, g3, nested]
+    quotient = RationalGF(ring, {0: 1}, {0: 1, 1: -1, 2: -v})
+    return [g1, g2, g3, nested, quotient]
 
 
 def factored(ring):
@@ -586,7 +612,7 @@ def factored(ring):
     poly = st.lists(
         st.tuples(st.integers(0, 3), polys(ring=ring, max_terms=2, max_exp=2, max_coeff=5)),
         max_size=3,
-    ).map(lambda items: FactoredGF.polynomial(ring, dict(items)))
+    ).map(lambda items: RationalGF(ring, dict(items)))
     powers = st.lists(st.integers(0, 2), min_size=len(pieces), max_size=len(pieces))
 
     def build(p, ks):
@@ -619,7 +645,7 @@ def test_factored_product_and_sum_match_series_arithmetic(pair):
 @settings(max_examples=40, deadline=None)
 def test_factored_geometric_matches_compose_geometric(pair):
     a, b = pair
-    t = FactoredGF.polynomial(a.ring, {1: 1})
+    t = RationalGF(a.ring, {1: 1})
     body = t * a + t * t * b
     want = (a.expand(ORDER).shift(1) + b.expand(ORDER).shift(2)).compose_geometric()
     assert body.geometric().expand(ORDER) == want
@@ -628,7 +654,7 @@ def test_factored_geometric_matches_compose_geometric(pair):
 @pytest.mark.parametrize("ring", [R2, X1], ids=["u,d", "x"])
 def test_sum_keeps_the_larger_denominator_power_of_a_shared_factor(ring):
     v = ring.var(ring.names[0])
-    tp = lambda table: FactoredGF.polynomial(ring, table)
+    tp = lambda table: RationalGF(ring, table)
     inv = tp({1: v}).geometric()                   # 1/(1 - v t)
     other = tp({2: 1}).geometric()                 # 1/(1 - t^2), unshared
     a = tp({0: 3, 1: v}) * inv * inv
@@ -648,7 +674,7 @@ def test_sum_keeps_the_larger_denominator_power_of_a_shared_factor(ring):
 
 def test_geometric_moves_the_denominator_into_the_numerator():
     d = R2.var("d")
-    tp = lambda table: FactoredGF.polynomial(R2, table)
+    tp = lambda table: RationalGF(R2, table)
     g2 = tp({2: 1}).geometric()
     G = tp({3: d}) + tp({5: d * d}) * g2
     Y = G * G * G.geometric()
@@ -659,17 +685,17 @@ def test_geometric_moves_the_denominator_into_the_numerator():
 
 
 def test_factored_refusals():
-    tp = lambda ring, table: FactoredGF.polynomial(ring, table)
     with pytest.raises(SeriesError):
-        tp(R2, {0: 1, 1: 1}).geometric()
+        RationalGF(R2, {0: 1, 1: 1}).geometric()
     with pytest.raises(RegistryError):
-        tp(R2, {1: 1}) * tp(X1, {1: 1})
+        RationalGF(R2, {1: 1}) * RationalGF(X1, {1: 1})
     with pytest.raises(RegistryError):
-        tp(R2, {1: X1.var("x")})
+        RationalGF(R2, {1: X1.var("x")})
     with pytest.raises(DomainError):
-        tp(R2, {-1: 1})
-    assert tp(R2, {}).geometric().expand(3) == TruncatedSeries.one(R2, 3)
-    assert (2 + tp(R2, {1: 1}) * -3).expand(2) == TruncatedSeries.from_terms(R2, {0: 2, 1: -3}, 2)
+        RationalGF(R2, {-1: 1})
+    assert RationalGF(R2, {}).geometric().expand(3) == TruncatedSeries.one(R2, 3)
+    want = TruncatedSeries.from_terms(R2, {0: 2, 1: -3}, 2)
+    assert (2 + RationalGF(R2, {1: 1}) * -3).expand(2) == want
 
 
 # --- the packed-layout cap -----------------------------------------------------
