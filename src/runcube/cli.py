@@ -15,6 +15,7 @@ JSON output always carries "schema": 1 and is deterministic.
 import argparse
 import json
 import sys
+from operator import add
 
 from . import __version__, embedding, enumerators, graph, inversions, poset
 from .errors import RuncubeError
@@ -86,27 +87,52 @@ def cmd_census(args):
     return 0
 
 
+def _json_terms(cols, coeffs):
+    """MultiPoly.json_terms of graded_terms' columns, as the JSON text of the list."""
+    term = '[[%s], "%%d"]' % ", ".join(["%d"] * len(cols))
+    return "[%s]" % ", ".join(map(term.__mod__, zip(*cols, coeffs)))
+
+
+def _render(names, cols, coeffs):
+    """MultiPoly.render of graded_terms' columns."""
+    if not coeffs:
+        return "0"
+    # "*u", "*u^2", ... indexed by exponent, so "%d%s" % (c, monomial) reads
+    # "c*u*d^2", or "c" for the constant term; a unit coefficient drops its 1
+    monomials = [""] * len(coeffs)
+    for name, col in zip(names, cols):
+        factors = ["", "*" + name] + ["*%s^%d" % (name, e) for e in range(2, max(col) + 1)]
+        monomials = list(map(add, monomials, map(factors.__getitem__, col)))
+    pieces = list(map("%d%s".__mod__, zip(coeffs, monomials)))
+    for i, c in enumerate(coeffs):
+        if (c == 1 or c == -1) and monomials[i]:
+            pieces[i] = ("-" if c < 0 else "") + monomials[i][1:]
+    return " + ".join(pieces).replace("+ -", "- ")
+
+
 def cmd_gf(args):
     """Write each coefficient as the quotient recurrence yields it.
 
     A refused order raises before the first byte is written.  The JSON
     document is the one _emit_json would print, written in pieces: the
     header with an empty coefficient list, minus its closing "]}", then
-    each [k, terms] pair, then the closing "]}".
+    each [k, terms] pair, then the closing "]}".  Each coefficient comes
+    as graded_terms' columns and is formatted from them directly, as
+    json_terms and render would format its MultiPoly.
     """
     gf = GF_KINDS[args.kind]()
-    coeffs = gf.coefficients(args.order)
+    rows = gf.graded_terms(args.order)
     out = sys.stdout
     if args.format == "json":
         head = {"schema": 1, "kind": args.kind, "order": args.order,
                 "variables": list(gf.ring.names), "coefficients": []}
         out.write(json.dumps(head, separators=(", ", ": "))[:-2])
-        for k, c in enumerate(coeffs):
-            out.write((", " if k else "") + json.dumps([k, c.json_terms()], separators=(", ", ": ")))
+        for k, (cols, coeffs) in enumerate(rows):
+            out.write("%s[%d, %s]" % (", " if k else "", k, _json_terms(cols, coeffs)))
         out.write("]}\n")
     else:
-        for k, c in enumerate(coeffs):
-            out.write("t^%d: %s\n" % (k, c.render()))
+        for k, (cols, coeffs) in enumerate(rows):
+            out.write("t^%d: %s\n" % (k, _render(gf.ring.names, cols, coeffs)))
     return 0
 
 

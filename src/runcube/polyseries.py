@@ -13,26 +13,37 @@ Every coefficient of a series goes into one Python int: the monomial
 c * t^k * prod(v^e_v) becomes c << w * (k * block + sum(e_v * stride_v)),
 where the strides and the block size come from a per-variable degree bound
 and the slot width of w bits is a whole number of bytes, at least two bits
-wider than a bound on every result coefficient.  Both bounds are computed from
-the operands before packing, so no slot can alias another or carry into
-it.  A product is one bigint multiply.  A quotient groups the divisor by
-monomial and runs the division recurrence on packed coefficients: each
+wider than a bound on every result coefficient.  A product computes both
+bounds from its operands before packing, so no slot can alias another or
+carry into it, and is one bigint multiply.  A quotient groups the divisor
+by monomial and runs the division recurrence on packed coefficients: each
 step sums c * out_(k-j) per divisor monomial and shifts each sum once.
+Packing is a ring homomorphism, so those sums may carry across slots and
+only out_k itself must fit them: before step k the slots must hold
+max|num_k| + sum_j |den_j|_1 max|out_(k-j)|, the maxima read off the
+coefficients already decoded.  The slots start one byte wide, and when
+that bound outgrows them they widen by about a quarter and the few packed
+coefficients kept are repacked, byte-wise through numpy (for `updown` at
+order 100, 9-byte slots where a bound on the 1-norms asks for 17).
 The recurrence is a stream: it yields the coefficient of t^k as soon as it
 has computed it and keeps only the packed coefficients later steps read,
-so RationalGF.coefficients lets a caller such as `runcube gf` write each
-coefficient and drop it; RationalGF.expand and TruncatedSeries.divide_by
-collect the same stream into a series.  Unpacking reads only the slots up
-to the highest nonzero one, adds 2^(w-1) to each, reads their bytes once
-through numpy and converts the slots that differ from that bias in one
-pass.  Packing shifts by exponents, so a Ring refuses negative ones.  A
-layout whose whole series (order + 1 blocks) would take more than
-PACKED_MAX_BYTES is refused with ResourceLimitError before anything is
-packed; a quotient checks the layout its bounds need so far at every step
-of the bound recurrence, before its stream yields anything, so a huge
-order fails within a few steps.  RationalGF.coefficients feeds that
-recurrence its sparse numerator and denominator tables, so nothing of
-size order + 1 exists before the check.
+so RationalGF.coefficients lets a caller write each coefficient and drop
+it; RationalGF.expand and TruncatedSeries.divide_by collect the same
+stream into a series.  RationalGF.graded_terms yields each coefficient
+straight from the decoded slots, as exponent columns and ints put in
+graded lex order by one numpy lexsort, which `runcube gf` formats without
+building a MultiPoly.  Unpacking reads only the slots up to the highest
+nonzero one, adds 2^(w-1) to each, reads their bytes once through numpy
+and converts the slots that differ from that bias in one pass.  Packing
+shifts by exponents, so a Ring refuses negative ones.  A layout whose
+whole series (order + 1 blocks) would take more than PACKED_MAX_BYTES is
+refused with ResourceLimitError before anything is packed; a quotient
+sizes that check with B_k = |num_k|_1 + sum_j |den_j|_1 B_(k-j), a bound on
+every 1-norm that needs no coefficient, at every step of that recurrence,
+before its stream yields anything, so a huge order fails within a few
+steps, and its slots never grow past the width B_k allows.
+RationalGF.coefficients feeds that recurrence its sparse numerator and
+denominator tables, so nothing of size order + 1 exists before the check.
 
 RationalGF is the one exact rational type in t, for generating functions
 given as printed tables or built from many small rational factors: the
@@ -360,7 +371,8 @@ class MultiPoly:
 
     def sorted_terms(self):
         """Terms in graded lexicographic order of their exponent vectors."""
-        return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
+        # exponent vectors are distinct, so the sort never compares coefficients
+        return [(e, c) for _, e, c in sorted((sum(e), e, c) for e, c in self.terms.items())]
 
     def render(self):
         """Deterministic text form like `3 + 2*u*d + u^4`."""
@@ -427,6 +439,8 @@ class _Layout:
     exponent vector e sits in slot sum(e_v * stride_v), slots being `width`
     bytes.  A layout is exact for polynomials whose exponents stay within
     `degrees` and whose coefficients have absolute value at most `bound`.
+    The series quotient changes `width` as its coefficients grow; offsets
+    and exponents do not depend on it.
     """
 
     def __init__(self, degrees, bound):
@@ -438,9 +452,9 @@ class _Layout:
             self.strides.append(self.block)
             self.block *= dim
 
-    def shift(self, exps):
-        """Bit offset of a monomial inside its block."""
-        return 8 * self.width * sum(map(mul, exps, self.strides))
+    def offset(self, exps):
+        """Slot of a monomial inside its block."""
+        return sum(map(mul, exps, self.strides))
 
     def pack(self, polys):
         """One int holding the term dict polys[k] in block k."""
@@ -457,18 +471,16 @@ class _Layout:
                     neg[at : at + w] = (-c).to_bytes(w, "little")
         return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
-    def unpack(self, value, blocks=1):
-        """Term dicts of the first `blocks` blocks of a packed value.
+    def _biased(self, value, blocks):
+        """The low live slots of value, each plus 2^(8w-1), as a (slots, w) byte array.
 
-        Only the live low end of the value is read.  Every slot, w = width
-        bytes wide, holds a coefficient below 2^(8w-2) in absolute value, so
-        when slot m is the highest nonzero one, |value| has between 8wm and
-        8w(m+1) - 1 bits:
-        the low |value|.bit_length() // 8w + 1 slots hold every term, and
-        adding 2^(8w-1) to each of them leaves each slot's biased
-        coefficient in its own w bytes.  Those bytes are read once through
-        numpy, and the slots that differ from the bias become ints in one
-        pass.
+        Every slot, w = width bytes wide, holds a coefficient below 2^(8w-2)
+        in absolute value, so when slot m is the highest nonzero one,
+        |value| has between 8wm and 8w(m+1) - 1 bits: the low
+        |value|.bit_length() // 8w + 1 slots hold every term, and adding
+        2^(8w-1) to each of them leaves each slot's biased coefficient in
+        its own w bytes, an empty slot reading as low bytes 0 and top byte
+        0x80.
         """
         w = self.width
         slots = min(abs(value).bit_length() // (8 * w) + 1, self.block * blocks)
@@ -476,16 +488,57 @@ class _Layout:
         half = 1 << (8 * w - 1)
         bias = int.from_bytes(half.to_bytes(w, "little") * slots, "little")
         data = ((value + bias) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, w)
-        # an empty slot reads as the bias: low bytes 0, top byte 0x80
+        return np.frombuffer(data, dtype=np.uint8).reshape(-1, w)
+
+    def decode(self, value, blocks=1):
+        """(live, coeffs) of the first `blocks` blocks of a packed value.
+
+        live is the ascending numpy array of nonzero slots, counted from
+        the start of block 0, and coeffs the list of their coefficients.
+        Only the live low end of the value is read, once, through numpy
+        (_biased), and the slots that differ from the bias become ints in
+        one pass.
+        """
+        w = self.width
+        rows = self._biased(value, blocks)
         live = np.flatnonzero(rows[:, :-1].any(axis=1) | (rows[:, -1] != 0x80))
-        words = np.frombuffer(data, "V%d" % w)[live].tolist()
-        coeffs = map(sub, map(int.from_bytes, words, repeat("little")), repeat(half))
+        words = np.frombuffer(rows, "V%d" % w)[live].tolist()
+        half = 1 << (8 * w - 1)
+        return live, list(map(sub, map(int.from_bytes, words, repeat("little")), repeat(half)))
+
+    def widened(self, value, width):
+        """A one-block value packed at this layout's width, repacked in wider slots.
+
+        With b = c + 2^(8w-1) the biased slot, c + 2^(8W-1) in W > w bytes
+        has b's low w bytes with the top bit flipped, then the sign
+        extension of c with the top bit flipped again.
+        """
+        w = self.width
+        rows = self._biased(value, 1)
+        wide = np.zeros((len(rows), width), dtype=np.uint8)
+        wide[:, :w] = rows
+        wide[:, w - 1] ^= 0x80
+        wide[rows[:, -1] < 0x80, w:] = 0xFF
+        wide[:, -1] ^= 0x80
+        half = 1 << (8 * width - 1)
+        bias = int.from_bytes(half.to_bytes(width, "little") * len(rows), "little")
+        return int.from_bytes(wide.tobytes(), "little") - bias
+
+    def exponents(self, live):
+        """One numpy array per variable: the exponents of the slots in `live`."""
         rest = live % self.block
-        cols = [((rest // s) % dim).tolist() for s, dim in zip(self.strides, self.dims)]
+        return [(rest // s) % dim for s, dim in zip(self.strides, self.dims)]
+
+    def terms(self, live, coeffs, blocks=1):
+        """Term dicts of the first `blocks` blocks, from what decode returned."""
+        cols = [col.tolist() for col in self.exponents(live)]
         terms = zip(zip(*cols) if cols else repeat((), len(live)), coeffs)
         ends = np.searchsorted(live, self.block * np.arange(1, blocks + 1)).tolist()
         return [dict(islice(terms, end - start)) for start, end in zip([0] + ends, ends)]
+
+    def unpack(self, value, blocks=1):
+        """Term dicts of the first `blocks` blocks of a packed value."""
+        return self.terms(*self.decode(value, blocks), blocks)
 
 
 class TruncatedSeries:
@@ -656,8 +709,10 @@ class TruncatedSeries:
                 "divisor constant term must be 1, got %s" % den.coeffs[0].render(),
                 index=0,
             )
-        coeffs = _divide(self.ring, lambda k: self.coeffs[k].terms, lambda k: den.coeffs[k].terms, n)
-        return TruncatedSeries._trusted(self.ring, list(coeffs), n)
+        layout, stream = _divide(
+            lambda k: self.coeffs[k].terms, lambda k: den.coeffs[k].terms, self.ring.arity, n
+        )
+        return self._from_dicts([layout.terms(*out)[0] for out in stream], n)
 
     def compose_geometric(self):
         """Return 1/(1 - self); requires zero constant coefficient."""
@@ -727,16 +782,17 @@ class TruncatedSeries:
         return "TruncatedSeries(%s + O(t^%d))" % (body, self.order + 1)
 
 
-def _divide(ring, num, den, order):
-    """Iterator over the coefficients of num / den through t^order, as MultiPoly.
+def _divide(num, den, arity, order):
+    """(layout, stream) of num / den through t^order.
 
     num(k) and den(k) give the term dicts of t^k; they may be None for a
     zero coefficient, and den(0) must be the constant 1.  The bound
     recurrence below runs, and refuses an oversized layout, before this
     returns; nothing of size order + 1 is built before it, so a sparse
     rational function is refused as cheaply as a dense series.  The
-    iterator then yields each coefficient as soon as the division
-    recurrence has computed it.
+    stream then yields decode's (live, coeffs) of each coefficient as soon
+    as the division recurrence has computed it; layout.exponents and
+    layout.terms read them, whatever width the slots have by then.
     """
     # out_k = num_k - sum_j den_j * out_(k-j), so with B_k bounding the
     # 1-norm of out_k, B_k = |num_k| + sum_j |den_j| * B_(k-j), and the
@@ -744,7 +800,6 @@ def _divide(ring, num, den, order):
     # divisor terms are collected as k reaches them, and the layout the
     # bounds so far need is checked at every step, so an order too large
     # for the cap is refused after a few steps, not after all of them.
-    arity = ring.arity
     divisor = []
     bounds = []
     degrees = []
@@ -766,29 +821,49 @@ def _divide(ring, num, den, order):
         peak = max(peak, bound)
         top = list(map(max, top, deg))
         _refuse_oversized("series quotient", top, peak, order + 1)
-    layout = _Layout(top, peak)
-    # the divisor grouped by monomial, each with its (t power, coefficient)
-    # pairs in ascending t power, so each step shifts once per monomial
-    groups = {}
-    for j, terms, _, _ in divisor:
-        for e, c in terms.items():
-            groups.setdefault(layout.shift(e), []).append((j, c))
-    span = divisor[-1][0] if divisor else 0
-    return _recur(ring, layout, num, list(groups.items()), span, order)
+    # the slots start one byte wide; the recurrence widens them as its
+    # coefficients grow, never past the width the bounds above allow
+    layout = _Layout(top, 0)
+    return layout, _recur(layout, _slot_bytes(peak), num, divisor, order)
 
 
-def _recur(ring, layout, num, groups, span, order):
+def _recur(layout, limit, num, divisor, order):
     """The division recurrence of _divide, yielding each coefficient as it is computed.
 
     Step k sums c * out_(k-j) over the pairs of each divisor monomial, then
     shifts that sum once into place.  Only the last `span` packed
-    coefficients are kept, since no step reaches further back.
+    coefficients are kept, since no step reaches further back.  Packing is
+    a ring homomorphism, so the sums may carry across slots and only out_k
+    itself has to fit them: |out_k| is at most max|num_k| + sum_j
+    |den_j|_1 * max|out_(k-j)|, the maxima read off the coefficients
+    already decoded.  When that outgrows the slots, they widen by about a
+    quarter (at least to what the bound needs, never past `limit`) and the
+    window is repacked.
     """
+    groups = {}
+    for j, terms, _, _ in divisor:
+        for e, c in terms.items():
+            groups.setdefault(layout.offset(e), []).append((j, c))
+    groups = list(groups.items())
+    norms = [(j, dnorm) for j, _, dnorm, _ in divisor]
+    span = divisor[-1][0] if divisor else 0
     window = deque(maxlen=span)
+    peaks = deque(maxlen=span)
     for k in range(order + 1):
         terms = num(k)
+        bound = max(map(abs, terms.values())) if terms else 0
+        for j, dnorm in norms:
+            if j > k:
+                break
+            bound += dnorm * peaks[-j]
+        need = _slot_bytes(bound)
+        if need > layout.width:
+            width = min(max(need, (5 * layout.width + 3) // 4), limit)
+            window = deque((layout.widened(v, width) for v in window), maxlen=span)
+            layout.width = width
+        bits = 8 * layout.width
         acc = layout.pack([terms]) if terms else 0
-        for shift, pairs in groups:
+        for at, pairs in groups:
             total = 0
             for j, c in pairs:
                 if j > k:
@@ -801,9 +876,25 @@ def _recur(ring, layout, num, groups, span, order):
                 else:
                     total += c * prev
             if total:
-                acc -= total << shift
+                acc -= total << bits * at
         window.append(acc)
-        yield MultiPoly(ring, layout.unpack(acc)[0])
+        live, coeffs = layout.decode(acc)
+        peaks.append(max(max(coeffs), -min(coeffs)) if coeffs else 0)
+        yield live, coeffs
+
+
+def _graded(cols, coeffs):
+    """Exponent lists and coefficients of one decoded coefficient, in graded lex order.
+
+    cols holds one numpy exponent array per variable; lexsort's last key
+    is its primary one, so the keys run from the total degree back to the
+    first variable.
+    """
+    if cols and len(coeffs) > 1:
+        order = np.lexsort(cols[::-1] + [sum(cols)])
+        cols = [col[order] for col in cols]
+        coeffs = [coeffs[i] for i in order.tolist()]
+    return [col.tolist() for col in cols], coeffs
 
 
 def _t_terms(ring, table):
@@ -963,6 +1054,13 @@ class RationalGF:
         moved = unit({f: -m for f, m in self.factors.items() if m < 0})
         return moved * unit({frozenset(new.items()): -1})
 
+    def _quotient(self, order):
+        """_divide's (layout, stream) of this function through t^order."""
+        if order < 0:
+            raise DomainError("series order must be nonnegative")
+        num, den = map(_by_t_power, self._sides())
+        return _divide(num.get, den.get, self.ring.arity, order)
+
     def coefficients(self, order):
         """Iterator over the MultiPoly coefficients of t^0 .. t^order.
 
@@ -970,10 +1068,19 @@ class RationalGF:
         the iterator exists; each coefficient is then computed when the
         iterator reaches it, so a caller can write it out and drop it.
         """
-        if order < 0:
-            raise DomainError("series order must be nonnegative")
-        num, den = map(_by_t_power, self._sides())
-        return _divide(self.ring, num.get, den.get, order)
+        layout, stream = self._quotient(order)
+        return (MultiPoly(self.ring, layout.terms(*out)[0]) for out in stream)
+
+    def graded_terms(self, order):
+        """Iterator over the coefficients of t^0 .. t^order as (columns, coeffs).
+
+        columns holds one list of exponents per variable and coeffs the
+        ints, both in the graded lex order of sorted_terms: the terms of
+        one coefficient, read straight off the quotient stream, ordered by
+        one numpy lexsort.  It refuses what coefficients() refuses, as early.
+        """
+        layout, stream = self._quotient(order)
+        return (_graded(layout.exponents(live), coeffs) for live, coeffs in stream)
 
     def expand(self, order):
         return TruncatedSeries._trusted(self.ring, list(self.coefficients(order)), order)

@@ -253,8 +253,12 @@ def verify_boolean_intervals(n, cap=None):
     difference that fails to be a vertex on a chain.
     """
     masks, up, down = _whole(n, cap)
+    return _survey(n, masks, up, down, _index_pairs(masks, up))
+
+
+def _survey(n, masks, up, down, pairs):
+    """verify_boolean_intervals on R_n's closure and its comparable pairs."""
     index = {m: k for k, m in enumerate(masks)}
-    pairs = _index_pairs(masks, up)
     violations = []
     for i, j in pairs:
         a, b = masks[i], masks[j]
@@ -280,54 +284,75 @@ def verify_boolean_intervals(n, cap=None):
     return {"n": n, "pairs_checked": len(pairs), "violations": violations}
 
 
+def _interval_entry(report, n, masks, up, down, pairs):
+    """The Boolean-interval claim's line for R_n."""
+    survey = _survey(n, masks, up, down, pairs)
+    bad = survey["violations"]
+    detail = ""
+    if bad:
+        v = bad[0]
+        detail = "%d of %d intervals violate, e.g. [%s, %s] has %d elements, not %d" % (
+            len(bad),
+            survey["pairs_checked"],
+            v["bottom"],
+            v["top"],
+            v["actual_size"],
+            v["expected_size"],
+        )
+    report.add("all intervals of R_%d are Boolean" % n, not bad, detail)
+
+
+def _mobius_entry(report, n, masks, up, down, pairs):
+    """The Mobius closed form's line for R_n."""
+    mus = [_mobius_from(up, down, i) for i in range(len(masks))]
+    mismatches = []
+    for i, j in pairs:
+        a, b = masks[i], masks[j]
+        got = mus[i][j]
+        want = -1 if (b ^ a).bit_count() % 2 else 1
+        if got != want:
+            mismatches.append((a, b, got, want))
+    detail = ""
+    if mismatches:
+        a, b, got, want = mismatches[0]
+        detail = "%d pairs disagree, e.g. mu(%s, %s) = %d, formula says %d" % (
+            len(mismatches),
+            _to_label(n, a),
+            _to_label(n, b),
+            got,
+            want,
+        )
+    report.add("closed form matches recursion on R_%d" % n, not mismatches, detail)
+
+
+_INTERVALS = ("Boolean-interval claim", _interval_entry)
+_MOBIUS = ("Mobius closed form", _mobius_entry)
+
+
+def _closure_reports(n_max, checks):
+    """One report per (name, entry) of `checks`, through R_n_max.
+
+    Each R_n's closure and comparable pairs are built once and handed to
+    every entry, which adds that n's line to its report.
+    """
+    _refuse_oversized(n_max)
+    reports = [Report(name) for name, _ in checks]
+    for n in range(1, n_max + 1):
+        masks, up, down = _whole(n)
+        pairs = _index_pairs(masks, up)
+        for report, (_, entry) in zip(reports, checks):
+            entry(report, n, masks, up, down, pairs)
+    return reports
+
+
 def interval_check(n_max=8):
     """Boolean-interval claim survey; fails from n = 5 with counterexamples."""
-    _refuse_oversized(n_max)
-    report = Report("Boolean-interval claim")
-    for n in range(1, n_max + 1):
-        survey = verify_boolean_intervals(n)
-        bad = survey["violations"]
-        detail = ""
-        if bad:
-            v = bad[0]
-            detail = "%d of %d intervals violate, e.g. [%s, %s] has %d elements, not %d" % (
-                len(bad),
-                survey["pairs_checked"],
-                v["bottom"],
-                v["top"],
-                v["actual_size"],
-                v["expected_size"],
-            )
-        report.add("all intervals of R_%d are Boolean" % n, not bad, detail)
-    return report
+    return _closure_reports(n_max, [_INTERVALS])[0]
 
 
 def mobius_check(n_max=8):
     """Closed-form Mobius values against the defining recursion."""
-    _refuse_oversized(n_max)
-    report = Report("Mobius closed form")
-    for n in range(1, n_max + 1):
-        masks, up, down = _whole(n)
-        mus = [_mobius_from(up, down, i) for i in range(len(masks))]
-        mismatches = []
-        for i, j in _index_pairs(masks, up):
-            a, b = masks[i], masks[j]
-            got = mus[i][j]
-            want = -1 if (b ^ a).bit_count() % 2 else 1
-            if got != want:
-                mismatches.append((a, b, got, want))
-        detail = ""
-        if mismatches:
-            a, b, got, want = mismatches[0]
-            detail = "%d pairs disagree, e.g. mu(%s, %s) = %d, formula says %d" % (
-                len(mismatches),
-                _to_label(n, a),
-                _to_label(n, b),
-                got,
-                want,
-            )
-        report.add("closed form matches recursion on R_%d" % n, not mismatches, detail)
-    return report
+    return _closure_reports(n_max, [_MOBIUS])[0]
 
 
 def rank_check(n_max=14):
@@ -382,7 +407,6 @@ def suite(max_n=None, order=None):
     _refuse_oversized(max_n)
     return [
         rank_check(n_max=max(max_n, 8)),
-        interval_check(n_max=max_n),
-        mobius_check(n_max=max_n),
+        *_closure_reports(max_n, [_INTERVALS, _MOBIUS]),
         maximal_gf_check(),
     ]

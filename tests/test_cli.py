@@ -1,12 +1,16 @@
 import contextlib
 import hashlib
+import io
 import json
 import os
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from runcube import cli, graph, poset, strings
+from runcube.polyseries import RationalGF, Ring
 
 
 def run(args, capsys):
@@ -155,6 +159,42 @@ def test_streamed_gf_holds_one_coefficient_at_a_time():
         tracemalloc.stop()
     assert code == 0
     assert peak < 16 << 20
+
+
+# rings of the arities the writer meets: the gf kinds use 0 to 2 variables
+WRITER_RINGS = [Ring(("a", "b", "c", "e")[:arity]) for arity in (0, 1, 2, 4)]
+
+
+@st.composite
+def rational_gfs(draw):
+    """(gf, order): a RationalGF over one of WRITER_RINGS, with +-1, small and big coefficients."""
+    ring = draw(st.sampled_from(WRITER_RINGS))
+    coeff = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9), st.integers(-(2 ** 70), 2 ** 70))
+    term = st.tuples(st.tuples(*[st.integers(0, 3 if ring.arity < 4 else 1)] * ring.arity), coeff)
+    poly = st.lists(term, min_size=1, max_size=6).map(lambda items: ring.poly(dict(items)))
+    num = draw(st.dictionaries(st.integers(0, 3), poly, min_size=1, max_size=3))
+    den = draw(st.dictionaries(st.integers(1, 3), poly, max_size=2))
+    return RationalGF(ring, num, {0: 1, **den}), draw(st.integers(0, 6))
+
+
+@given(rational_gfs())
+@settings(max_examples=150, deadline=None)
+def test_gf_writer_formats_what_json_terms_and_render_give(case):
+    gf, order = case
+    want = gf.expand(order).coeffs
+    rows = list(gf.graded_terms(order))
+    assert [cli._json_terms(*row) for row in rows] == [
+        json.dumps(c.json_terms(), separators=(", ", ": ")) for c in want
+    ]
+    assert [cli._render(gf.ring.names, *row) for row in rows] == [c.render() for c in want]
+    # the whole command, written piece by piece, is the whole document
+    with mock.patch.dict(cli.GF_KINDS, {"updown": lambda: gf}):
+        for fmt in ("json", "text"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["gf", "--kind", "updown", "--order", str(order), "--format", fmt])
+            assert code == 0
+            assert out.getvalue() == gf_document("updown", order, fmt)
 
 
 # sha256 of the JSON output, recorded with the dict-convolution series code

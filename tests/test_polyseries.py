@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import pytest
@@ -416,6 +417,84 @@ def test_coefficient_stream_refuses_before_it_starts(make):
         gf.coefficients(-1)
 
 
+# --- the quotient's slot width --------------------------------------------------
+
+
+def a_priori_width(num, den, order):
+    """Slot bytes of the 1-norm bound B_k = |num_k|_1 + sum_j |den_j|_1 B_(k-j)."""
+    norm = lambda terms: sum(map(abs, terms.values()))
+    bounds = []
+    for k in range(order + 1):
+        b = norm(num[k]) if k < len(num) else 0
+        b += sum(norm(den[j]) * bounds[k - j] for j in range(1, min(k, len(den) - 1) + 1))
+        bounds.append(b)
+    return (max(bounds).bit_length() + 2 + 7) // 8
+
+
+def streamed_widths(gf, order):
+    """(term dicts, the slot width each was computed at) of gf through t^order."""
+    layout, stream = gf._quotient(order)
+    out, widths = [], []
+    for live, coeffs in stream:
+        out.append(layout.terms(live, coeffs)[0])
+        widths.append(layout.width)
+    return out, widths
+
+
+@st.composite
+def steep_quotients(draw):
+    """(ring, num, den, order): small numerators over denominators like 1 - 1000 u t - 999 t^2.
+
+    The coefficients grow by about ten bits a step, so the slots widen
+    again and again from one byte.
+    """
+    arity = draw(st.integers(0, 2))
+    ring = RINGS[arity]
+    big = st.integers(999, 2000).flatmap(lambda c: st.sampled_from([c, -c]))
+    monomial = st.tuples(*[st.integers(0, 2)] * arity)
+    row = st.dictionaries(monomial, big, min_size=1, max_size=3)
+    den = [{(0,) * arity: 1}, draw(row), draw(st.one_of(st.just({}), row))]
+    num = draw(st.lists(
+        st.dictionaries(monomial, st.integers(-9, 9).filter(bool), max_size=3), min_size=1, max_size=3
+    ))
+    return ring, num, den, draw(st.integers(6, 24))
+
+
+@given(steep_quotients())
+@settings(max_examples=80, deadline=None)
+def test_widening_slots_match_naive_recurrence(case):
+    ring, num, den, order = case
+    gf = RationalGF(
+        ring,
+        {k: ring.poly(t) for k, t in enumerate(num)},
+        {k: ring.poly(t) for k, t in enumerate(den)},
+    )
+    got, widths = streamed_widths(gf, order)
+    assert got == naive_quotient(num, den, order)
+    assert widths == sorted(widths)
+    assert widths[-1] <= a_priori_width(num, den, order)
+    biggest = max((abs(c) for t in got for c in t.values()), default=0)
+    if biggest >> 64:
+        # nine bytes at least, from one, at most about two bytes a step
+        assert len(set(widths)) >= 3
+
+
+def test_updown_slots_fit_its_coefficients():
+    gf = enumerators.updown_gf()
+    num, den = gf.numerator, gf.denominator
+    got, widths = streamed_widths(gf, 100)
+    assert got == [c.terms for c in gf.expand(100).coeffs]
+    # the largest coefficient has 64 bits, so 9 bytes would do; the 1-norm
+    # bound B_k (131 bits) asks for 17
+    assert max(abs(c) for t in got for c in t.values()).bit_length() == 64
+    width = a_priori_width(
+        [num.get(k, gf.ring.zero()).terms for k in range(max(num) + 1)],
+        [den.get(k, gf.ring.zero()).terms for k in range(max(den) + 1)],
+        100,
+    )
+    assert widths[-1] <= 11 and width == 17
+
+
 # --- the Kronecker layout: pack and unpack --------------------------------------
 
 
@@ -446,6 +525,17 @@ def test_layout_round_trip(case):
     # unpack must leave out without disturbing the ones it keeps
     layout, blocks, kept = case
     assert layout.unpack(layout.pack(blocks), kept) == blocks[:kept]
+
+
+@given(packed_blocks(), st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_widened_value_is_the_wider_packing(case, extra):
+    layout, blocks, _ = case
+    wide = copy.copy(layout)
+    wide.width += extra
+    value = layout.widened(layout.pack(blocks[:1]), wide.width)
+    assert value == wide.pack(blocks[:1])
+    assert wide.unpack(value) == blocks[:1]
 
 
 @pytest.mark.parametrize(
