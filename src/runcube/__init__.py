@@ -11,7 +11,7 @@ closed form against brute force.  Everything is integer arithmetic.
 
 __version__ = "0.1.0"
 
-from .config import series_order, stream_cap, vertex_cap
+from .config import stream_cap, vertex_cap
 from .embedding import (
     DilationResult,
     EncodingResult,

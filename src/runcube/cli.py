@@ -342,11 +342,19 @@ def main(argv=None):
         parser.error("inv needs --n")
     if args.command == "embed" and args.action == "dilation" and args.n is None:
         parser.error("embed dilation needs --n")
+    # the caps bound the decimal coefficients (PACKED_MAX_BYTES for gf), not
+    # the int-to-str digit limit; argv is parsed under it, callers get it back
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     try:
+        if saved is not None:
+            sys.set_int_max_str_digits(0)
         return args.func(args)
     except RuncubeError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,6 @@ the built-in defaults.  The environment variables are
 
     RUNCUBE_VERTEX_CAP   largest vertex count for explicit graph objects
     RUNCUBE_STREAM_CAP   largest vertex count for streaming censuses
-    RUNCUBE_ORDER        default truncation order for series expansions
 
 and each must hold a nonnegative integer; any other value raises
 ConfigError, which the command line reports as a usage error.
@@ -17,7 +16,6 @@ from .errors import ConfigError
 
 DEFAULT_VERTEX_CAP = 2_000_000
 DEFAULT_STREAM_CAP = 50_000_000
-DEFAULT_ORDER = 40
 
 
 def _resolve(override, name, default):
@@ -42,7 +40,3 @@ def vertex_cap(override=None):
 
 def stream_cap(override=None):
     return _resolve(override, "RUNCUBE_STREAM_CAP", DEFAULT_STREAM_CAP)
-
-
-def series_order(override=None):
-    return _resolve(override, "RUNCUBE_ORDER", DEFAULT_ORDER)

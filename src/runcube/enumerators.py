@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from . import config, graph, strings
+from . import graph, strings
 from .polyseries import RationalGF, Ring, TruncatedSeries
 from .report import Report
 
@@ -406,9 +406,8 @@ def word_sum_identity_check(n_max=12):
 # specializations and consequences
 
 
-def specialize_checks(order=None):
+def specialize_checks(order=40):
     """The four printed specializations of the up-down GF."""
-    order = config.series_order(order)
     report = Report("specializations")
     base = gf_updown_closed(order)
     down = down_gf().expand(order)
@@ -449,9 +448,8 @@ def specialize_checks(order=None):
     return report
 
 
-def edge_gf_check(order=None, brute_max=12):
+def edge_gf_check(order=40, brute_max=12):
     """Edge-count GF from both degree derivatives plus the closed formula."""
-    order = config.series_order(order)
     report = Report("edge generating function")
     edges = edge_gf().expand(order).integer_coefficients()
     from_down = (
@@ -573,30 +571,24 @@ class PkProbe:
         }
 
 
-def conjecture_pk_probe(k, order=None):
+def conjecture_pk_probe(k, order=40):
     """Multiply the degree-k series by (1-t^2)^(k+1) and inspect the tail.
 
     If the conjecture holds, the product is a polynomial of degree at most
     (15k+8)/2 for even k and (15k+7)/2 for odd k.  Truncated series can
     only furnish evidence, so the result reports what was observed.
     """
-    order = config.series_order(order)
-    seq = degree_k_series(k, order)
-    series = TruncatedSeries.from_terms(
-        SCALAR, {n: c for n, c in enumerate(seq)}, order
-    )
-    factor = TruncatedSeries.from_terms(SCALAR, {0: 1, 2: -1}, order)
-    prod = series
+    coeffs = degree_k_series(k, order)
     for _ in range(k + 1):
-        prod = prod * factor
-    coeffs = prod.integer_coefficients()
+        # times (1 - t^2), truncated at t^order
+        coeffs = coeffs[:2] + [c - b for c, b in zip(coeffs[2:], coeffs)]
     bound = (15 * k + 8) // 2 if k % 2 == 0 else (15 * k + 7) // 2
     observed = max((i for i, c in enumerate(coeffs) if c != 0), default=-1)
     residual = all(c == 0 for c in coeffs[bound + 1 :])
     return PkProbe(k, order, coeffs, bound, observed, residual)
 
 
-def pk_probe_check(k_max=4, order=None):
+def pk_probe_check(k_max=4, order=40):
     report = Report("degree-k polynomial-form probe")
     for k in range(k_max + 1):
         probe = conjecture_pk_probe(k, order)

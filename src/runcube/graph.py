@@ -406,7 +406,7 @@ def transfer_census(n, cap=None):
     total = _vertex_total(n, cap, streaming=True)
     layout = _transfer_layout(n)
     f0, f1 = deque(_transfer_pass(layout, n + 2), maxlen=1)[0]
-    census = DegreeCensus(n, layout.unpack(f0 + f1)[0])
+    census = DegreeCensus(n, layout.unpack(f0 + f1))
     if census.vertex_total() != total:
         raise StructureError(
             "transfer census of R_%d counts %d vertices, expected %d"

@@ -4,20 +4,20 @@ Polynomials live over a small registry of named variables (a Ring) and keep
 integer coefficients in a dict keyed by exponent vectors, so no precision is
 ever lost.  Truncated series are lists of such polynomials indexed by the
 power of the formal variable t; all series arithmetic is exact up to the
-truncation order.  RationalGF holds a rational generating function whose
-denominator has constant term 1 and expands it by the division recurrence.
+truncation order, and a series multiplies only by a scalar.  RationalGF
+holds a rational generating function whose denominator has constant term
+1, multiplies such functions exactly, and expands one by the division
+recurrence.
 
-Series products, division and the geometric inverse run on Kronecker-packed
-bigints (Kronecker substitution; D. Harvey, J. Symbolic Comput. 44 (2009)).
-Every coefficient of a series goes into one Python int: the monomial
-c * t^k * prod(v^e_v) becomes c << w * (k * block + sum(e_v * stride_v)),
-where the strides and the block size come from a per-variable degree bound
-and the slot width of w bits is a whole number of bytes, at least two bits
-wider than a bound on every result coefficient.  A product computes both
-bounds from its operands before packing, so no slot can alias another or
-carry into it, and is one bigint multiply.  A quotient groups the divisor
-by monomial and runs the division recurrence on packed coefficients: each
-step sums c * out_(k-j) per divisor monomial and shifts each sum once.
+Series division and the geometric inverse run on Kronecker-packed bigints
+(Kronecker substitution; D. Harvey, J. Symbolic Comput. 44 (2009)).  Each
+coefficient of t^k goes into one Python int: the monomial c * prod(v^e_v)
+becomes c << w * sum(e_v * stride_v), where the strides come from a
+per-variable degree bound and the slot width of w bits is a whole number
+of bytes, at least two bits wider than a bound on the coefficient.  The
+quotient groups the divisor by monomial and runs the division recurrence
+on packed coefficients: each step sums c * out_(k-j) per divisor monomial
+and shifts each sum once.
 Packing is a ring homomorphism, so those sums may carry across slots and
 only out_k itself must fit them: before step k the slots must hold
 max|num_k| + sum_j |den_j|_1 max|out_(k-j)|, the maxima read off the
@@ -35,13 +35,13 @@ graded lex order by one numpy lexsort, which `runcube gf` formats without
 building a MultiPoly.  Unpacking reads only the slots up to the highest
 nonzero one, adds 2^(w-1) to each, reads their bytes once through numpy
 and converts the slots that differ from that bias in one pass.  Packing
-shifts by exponents, so a Ring refuses negative ones.  A layout whose
-whole series (order + 1 blocks) would take more than PACKED_MAX_BYTES is
-refused with ResourceLimitError before anything is packed; a quotient
-sizes that check with B_k = |num_k|_1 + sum_j |den_j|_1 B_(k-j), a bound on
-every 1-norm that needs no coefficient, at every step of that recurrence,
-before its stream yields anything, so a huge order fails within a few
-steps, and its slots never grow past the width B_k allows.
+shifts by exponents, so a Ring refuses negative ones.  A quotient whose
+whole series (order + 1 packed coefficients) would take more than
+PACKED_MAX_BYTES is refused with ResourceLimitError before anything is
+packed; it sizes that check with B_k = |num_k|_1 + sum_j |den_j|_1 B_(k-j),
+a bound on every 1-norm that needs no coefficient, at every step of that
+recurrence, before its stream yields anything, so a huge order fails
+within a few steps, and its slots never grow past the width B_k allows.
 RationalGF.coefficients feeds that recurrence its sparse numerator and
 denominator tables, so nothing of size order + 1 exists before the check.
 
@@ -56,7 +56,7 @@ expanded, once.
 """
 
 from collections import deque
-from itertools import accumulate, islice, repeat
+from itertools import repeat
 from operator import add, mul, sub
 
 import numpy as np
@@ -420,27 +420,27 @@ def _slot_bytes(bound):
     return (bound.bit_length() + 2 + 7) // 8
 
 
-def _refuse_oversized(what, degrees, bound, blocks):
-    """ResourceLimitError unless `blocks` blocks of this layout fit PACKED_MAX_BYTES."""
-    need = _slot_bytes(bound) * blocks
+def _refuse_oversized(degrees, bound, order):
+    """ResourceLimitError unless order + 1 coefficients in this layout fit PACKED_MAX_BYTES."""
+    need = _slot_bytes(bound) * (order + 1)
     for d in degrees:
         need *= d + 1
     if need > PACKED_MAX_BYTES:
         raise ResourceLimitError(
-            "%s through t^%d needs a packed layout of %d bytes, cap is %d"
-            % (what, blocks - 1, need, PACKED_MAX_BYTES)
+            "series quotient through t^%d needs a packed layout of %d bytes, cap is %d"
+            % (order, need, PACKED_MAX_BYTES)
         )
 
 
 class _Layout:
-    """Kronecker layout of a truncated series over one ring, in one int.
+    """Kronecker layout of one polynomial over one ring, in one int.
 
-    Block k holds the coefficient of t^k; inside a block the monomial with
-    exponent vector e sits in slot sum(e_v * stride_v), slots being `width`
-    bytes.  A layout is exact for polynomials whose exponents stay within
-    `degrees` and whose coefficients have absolute value at most `bound`.
-    The series quotient changes `width` as its coefficients grow; offsets
-    and exponents do not depend on it.
+    The monomial with exponent vector e sits in slot sum(e_v * stride_v),
+    slots being `width` bytes; the box has `block` slots.  A layout is
+    exact for polynomials whose exponents stay within `degrees` and whose
+    coefficients have absolute value at most `bound`.  The series quotient
+    changes `width` as its coefficients grow; offsets and exponents do not
+    depend on it.
     """
 
     def __init__(self, degrees, bound):
@@ -453,25 +453,23 @@ class _Layout:
             self.block *= dim
 
     def offset(self, exps):
-        """Slot of a monomial inside its block."""
+        """Slot of a monomial."""
         return sum(map(mul, exps, self.strides))
 
-    def pack(self, polys):
-        """One int holding the term dict polys[k] in block k."""
+    def pack(self, terms):
+        """One int holding the term dict `terms`."""
         w = self.width
-        pos = bytearray(w * self.block * len(polys))
+        pos = bytearray(w * self.block)
         neg = bytearray(len(pos))
-        for k, terms in enumerate(polys):
-            base = k * self.block
-            for exps, c in terms.items():
-                at = w * (base + sum(map(mul, exps, self.strides)))
-                if c > 0:
-                    pos[at : at + w] = c.to_bytes(w, "little")
-                else:
-                    neg[at : at + w] = (-c).to_bytes(w, "little")
+        for exps, c in terms.items():
+            at = w * self.offset(exps)
+            if c > 0:
+                pos[at : at + w] = c.to_bytes(w, "little")
+            else:
+                neg[at : at + w] = (-c).to_bytes(w, "little")
         return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
-    def _biased(self, value, blocks):
+    def _biased(self, value):
         """The low live slots of value, each plus 2^(8w-1), as a (slots, w) byte array.
 
         Every slot, w = width bytes wide, holds a coefficient below 2^(8w-2)
@@ -483,38 +481,37 @@ class _Layout:
         0x80.
         """
         w = self.width
-        slots = min(abs(value).bit_length() // (8 * w) + 1, self.block * blocks)
+        slots = min(abs(value).bit_length() // (8 * w) + 1, self.block)
         size = w * slots
         half = 1 << (8 * w - 1)
         bias = int.from_bytes(half.to_bytes(w, "little") * slots, "little")
         data = ((value + bias) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
         return np.frombuffer(data, dtype=np.uint8).reshape(-1, w)
 
-    def decode(self, value, blocks=1):
-        """(live, coeffs) of the first `blocks` blocks of a packed value.
+    def decode(self, value):
+        """(live, coeffs) of a packed value.
 
-        live is the ascending numpy array of nonzero slots, counted from
-        the start of block 0, and coeffs the list of their coefficients.
-        Only the live low end of the value is read, once, through numpy
-        (_biased), and the slots that differ from the bias become ints in
-        one pass.
+        live is the ascending numpy array of nonzero slots and coeffs the
+        list of their coefficients.  Only the live low end of the value is
+        read, once, through numpy (_biased), and the slots that differ from
+        the bias become ints in one pass.
         """
         w = self.width
-        rows = self._biased(value, blocks)
+        rows = self._biased(value)
         live = np.flatnonzero(rows[:, :-1].any(axis=1) | (rows[:, -1] != 0x80))
         words = np.frombuffer(rows, "V%d" % w)[live].tolist()
         half = 1 << (8 * w - 1)
         return live, list(map(sub, map(int.from_bytes, words, repeat("little")), repeat(half)))
 
     def widened(self, value, width):
-        """A one-block value packed at this layout's width, repacked in wider slots.
+        """A value packed at this layout's width, repacked in wider slots.
 
         With b = c + 2^(8w-1) the biased slot, c + 2^(8W-1) in W > w bytes
         has b's low w bytes with the top bit flipped, then the sign
         extension of c with the top bit flipped again.
         """
         w = self.width
-        rows = self._biased(value, 1)
+        rows = self._biased(value)
         wide = np.zeros((len(rows), width), dtype=np.uint8)
         wide[:, :w] = rows
         wide[:, w - 1] ^= 0x80
@@ -526,19 +523,16 @@ class _Layout:
 
     def exponents(self, live):
         """One numpy array per variable: the exponents of the slots in `live`."""
-        rest = live % self.block
-        return [(rest // s) % dim for s, dim in zip(self.strides, self.dims)]
+        return [(live // s) % dim for s, dim in zip(self.strides, self.dims)]
 
-    def terms(self, live, coeffs, blocks=1):
-        """Term dicts of the first `blocks` blocks, from what decode returned."""
+    def terms(self, live, coeffs):
+        """The term dict of what decode returned."""
         cols = [col.tolist() for col in self.exponents(live)]
-        terms = zip(zip(*cols) if cols else repeat((), len(live)), coeffs)
-        ends = np.searchsorted(live, self.block * np.arange(1, blocks + 1)).tolist()
-        return [dict(islice(terms, end - start)) for start, end in zip([0] + ends, ends)]
+        return dict(zip(zip(*cols) if cols else repeat((), len(live)), coeffs))
 
-    def unpack(self, value, blocks=1):
-        """Term dicts of the first `blocks` blocks of a packed value."""
-        return self.terms(*self.decode(value, blocks), blocks)
+    def unpack(self, value):
+        """The term dict of a packed value."""
+        return self.terms(*self.decode(value))
 
 
 class TruncatedSeries:
@@ -645,35 +639,6 @@ class TruncatedSeries:
         return ((-1) * self) + other
 
     def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            _check_same_ring(self, other)
-            n = self._common_order(other)
-            a = [c.terms for c in self.coeffs[: n + 1]]
-            b = [c.terms for c in other.coeffs[: n + 1]]
-            low_a = next((i for i, t in enumerate(a) if t), n + 1)
-            low_b = next((j for j, t in enumerate(b) if t), n + 1)
-            if low_a + low_b > n:
-                return TruncatedSeries.zero(self.ring, n)
-            # a_i * b_j reaches t^n only if i + j <= n, so each operand stops
-            # where the other's first nonzero coefficient pushes it past t^n
-            a = a[: n + 1 - low_b]
-            b = b[: n + 1 - low_a]
-            norms_a = [_norm(t) for t in a] + [0] * low_b
-            norms_b = [_norm(t) for t in b] + [0] * low_a
-            bound = max(sum(map(mul, norms_a[: k + 1], norms_b[k::-1])) for k in range(n + 1))
-            # a_i meets b_0 .. b_(n-i), so those bound the degrees of the kept terms
-            arity = self.ring.arity
-            reach = list(
-                accumulate((_degrees(t, arity) for t in b), lambda x, y: list(map(max, x, y)))
-            )
-            degrees = [0] * arity
-            for i, t in enumerate(a):
-                if t:
-                    degrees = list(map(max, degrees, map(add, _degrees(t, arity), reach[n - i])))
-            _refuse_oversized("series product", degrees, bound, n + 1)
-            layout = _Layout(degrees, bound)
-            product = layout.pack(a) * layout.pack(b)
-            return self._from_dicts(layout.unpack(product, n + 1), n)
         scalar = self._coerce_scalar(other)
         if scalar is None:
             return NotImplemented
@@ -712,7 +677,8 @@ class TruncatedSeries:
         layout, stream = _divide(
             lambda k: self.coeffs[k].terms, lambda k: den.coeffs[k].terms, self.ring.arity, n
         )
-        return self._from_dicts([layout.terms(*out)[0] for out in stream], n)
+        coeffs = [MultiPoly(self.ring, layout.terms(*out)) for out in stream]
+        return TruncatedSeries._trusted(self.ring, coeffs, n)
 
     def compose_geometric(self):
         """Return 1/(1 - self); requires zero constant coefficient."""
@@ -724,10 +690,6 @@ class TruncatedSeries:
             )
         one = TruncatedSeries.one(self.ring, self.order)
         return one.divide_by(one - self)
-
-    def _from_dicts(self, term_dicts, order):
-        ring = self.ring
-        return TruncatedSeries._trusted(ring, [MultiPoly(ring, d) for d in term_dicts], order)
 
     def substitute(self, name, replacement):
         return self.apply(lambda c: c.substitute(name, replacement))
@@ -820,7 +782,7 @@ def _divide(num, den, arity, order):
         degrees.append(deg)
         peak = max(peak, bound)
         top = list(map(max, top, deg))
-        _refuse_oversized("series quotient", top, peak, order + 1)
+        _refuse_oversized(top, peak, order)
     # the slots start one byte wide; the recurrence widens them as its
     # coefficients grow, never past the width the bounds above allow
     layout = _Layout(top, 0)
@@ -862,7 +824,7 @@ def _recur(layout, limit, num, divisor, order):
             window = deque((layout.widened(v, width) for v in window), maxlen=span)
             layout.width = width
         bits = 8 * layout.width
-        acc = layout.pack([terms]) if terms else 0
+        acc = layout.pack(terms) if terms else 0
         for at, pairs in groups:
             total = 0
             for j, c in pairs:
@@ -1069,7 +1031,7 @@ class RationalGF:
         iterator reaches it, so a caller can write it out and drop it.
         """
         layout, stream = self._quotient(order)
-        return (MultiPoly(self.ring, layout.terms(*out)[0]) for out in stream)
+        return (MultiPoly(self.ring, layout.terms(*out)) for out in stream)
 
     def graded_terms(self, order):
         """Iterator over the coefficients of t^0 .. t^order as (columns, coeffs).

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -144,6 +145,23 @@ def test_refused_gf_writes_nothing_to_stdout(capsys, kind, order, need, fmt):
         "error: series quotient through t^%d needs a packed layout of %d bytes, cap is 268435456\n"
         % (order, need)
     )
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int-to-str digit limit"
+)
+def test_gf_prints_coefficients_past_the_int_digit_limit(capsys):
+    # t^3500 of the edge GF has 735 digits; 640 is the lowest limit allowed
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(["gf", "--kind", "edge", "--order", "3500", "--format", "json"], capsys)
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (code, err) == (0, "")
+    last = json.loads(out)["coefficients"][-1]
+    assert last == [3500, [[[], str(graph.closed_form_edge_count(3500))]]]
 
 
 def test_streamed_gf_holds_one_coefficient_at_a_time():

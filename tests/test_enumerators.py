@@ -134,6 +134,16 @@ def test_pk_probe_shapes():
     assert en.conjecture_pk_probe(4, order=40).observed_degree == 24
 
 
+def test_pk_probe_degree_is_eleven_k_plus_four_over_two():
+    # (1 - t^2)^(k+1) times the degree-k series is a polynomial of degree
+    # (11k + 4) // 2, well inside the conjectured bound
+    assert en.conjecture_pk_probe(0, 120).observed_degree == -1
+    for k in range(1, 9):
+        probe = en.conjecture_pk_probe(k, 120)
+        assert probe.residual_zero
+        assert probe.observed_degree == (11 * k + 4) // 2, k
+
+
 def test_recurrence():
     rep = en.recurrence_check(n_max=30)
     assert rep.ok, "\n".join(rep.failures)
