@@ -5,8 +5,9 @@ Vertices of the graph R_n are binary strings obeying the run condition
 left to right) with two trailing zeros stripped; edges join strings at
 Hamming distance one.  The package enumerates these graphs exactly,
 streams degree censuses, expands the closed-form generating functions
-of the associated statistics as truncated series, and cross-checks each
-closed form against brute force.  Everything is integer arithmetic.
+of the associated statistics into coefficient lists in t, and
+cross-checks each closed form against brute force.  Everything is
+integer arithmetic.
 """
 
 __version__ = "0.1.0"

@@ -27,7 +27,8 @@ from functools import lru_cache
 from itertools import product
 
 from . import graph, strings
-from .polyseries import RationalGF, Ring, TruncatedSeries
+from .errors import DomainError
+from .polyseries import RationalGF, Ring, TruncatedSeries, over_t2
 from .report import Report
 
 UD = Ring(("u", "d"))
@@ -218,13 +219,16 @@ def _case_factors():
 
 @dataclass
 class CaseAssembly:
-    """The five case series, the E subclass split, and their combination."""
+    """The five case series, the E subclass split, and their combination.
+
+    gf is the coefficient list of (GFX - t - t^2)/t^2, through t^(order - 2).
+    """
 
     order: int
     cases: dict
     e_parts: dict
     gfx: TruncatedSeries
-    gf: TruncatedSeries
+    gf: list
 
 
 def assemble_case_gfs(order):
@@ -241,7 +245,7 @@ def assemble_case_gfs(order):
     construction, not from the printed D(u,d;t).
     """
     if order < 3:
-        raise ValueError("assembly needs order >= 3")
+        raise DomainError("assembly needs order >= 3")
     u, tp, inv1, G, X, Y, alpha, beta = _case_factors()
     geom = (alpha * X + beta * Y).geometric()
     pre_single = tp({0: 1, 1: u}) + tp({2: u}) * inv1     # before s0...
@@ -265,7 +269,7 @@ def assemble_case_gfs(order):
     }
     cases["E"] = e_parts["zero"] + e_parts["single"] + e_parts["block"]
     gfx = sum(cases.values()).expand(order)
-    gf = (gfx - TruncatedSeries.from_terms(UD, {1: 1, 2: 1}, order)).shift_divide_by_t_power(2)
+    gf = over_t2(gfx.coeffs, [0, 1, 1])
     return CaseAssembly(
         order,
         {tag: part.expand(order) for tag, part in cases.items()},
@@ -332,20 +336,13 @@ def case_assembly_check(order=30, max_len=16):
             series.coefficient(m) == censuses[m]["E/" + sub] for m in range(1, upto + 1)
         )
         report.add("case E/%s series = census through length %d" % (sub, upto), ok)
-    report.add(
-        "E parts sum to printed combined form",
-        assembly.cases["E"].agrees_with(combined_e_gf(order)),
-    )
-    total = sum(
-        (assembly.cases[t] for t in "BCDE"), assembly.cases["A"]
-    )
-    report.add("GFX equals sum of case series", assembly.gfx.agrees_with(total))
-    closed = gf_updown_closed(order - 2)
-    diff = assembly.gf.first_difference(closed)
-    report.add(
+    report.add("E parts sum to printed combined form", assembly.cases["E"] == combined_e_gf(order))
+    total = [sum(cs) for cs in zip(*(assembly.cases[t].coeffs for t in "ABCDE"))]
+    report.add("GFX equals sum of case series", assembly.gfx.coeffs == total)
+    report.expect_series(
         "assembled GF equals closed form through order %d" % (order - 2),
-        diff is None,
-        "" if diff is None else "first difference at t^%d" % diff,
+        assembly.gf,
+        gf_updown_closed(order - 2).coeffs,
     )
     return report
 
@@ -389,15 +386,11 @@ def word_sum_identity_check(n_max=12):
                 head * step ** n,
             )
     # the same identity summed over all middle-word lengths at once
-    geom = TruncatedSeries.from_terms(WORD_RING, {1: step}, n_max).compose_geometric()
+    geom = TruncatedSeries(WORD_RING, [WORD_RING.zero(), step], n_max).compose_geometric()
     for (first, last), head in closed_heads.items():
-        lhs = TruncatedSeries(
-            WORD_RING, sums[(first, last)], n_max
-        )
-        rhs = geom * head
         report.add(
             "graded sum over %s w %s equals geometric form" % (first, last),
-            lhs.agrees_with(rhs),
+            sums[(first, last)] == (geom * head).coeffs,
         )
     return report
 
@@ -409,39 +402,18 @@ def word_sum_identity_check(n_max=12):
 def specialize_checks(order=40):
     """The four printed specializations of the up-down GF."""
     report = Report("specializations")
-    base = gf_updown_closed(order)
-    down = down_gf().expand(order)
-    diff = base.apply(lambda c: c.evaluate_at("u", 1)).first_difference(down)
-    report.add(
-        "u := 1 gives the down-degree GF",
-        diff is None,
-        "" if diff is None else "first difference at t^%d" % diff,
-    )
-    up = up_gf().expand(order)
-    diff = base.apply(lambda c: c.evaluate_at("d", 1)).first_difference(up)
-    report.add(
-        "d := 1 gives the up-degree GF",
-        diff is None,
-        "" if diff is None else "first difference at t^%d" % diff,
-    )
+    base = gf_updown_closed(order).coeffs
     x = DEGREE_RING.var("x")
-    degree = degree_gf().expand(order)
-    diff = base.map_onto(DEGREE_RING, {"u": x, "d": x}).first_difference(degree)
-    report.add(
-        "u, d := x gives the degree GF",
-        diff is None,
-        "" if diff is None else "first difference at t^%d" % diff,
-    )
-    maximal = maximal_gf().expand(order)
-    spec = base.map_onto(SCALAR, {"u": 0, "d": 1})
-    diff = spec.first_difference(maximal)
-    report.add(
-        "u := 0, d := 1 gives the maximal-count GF",
-        diff is None,
-        "" if diff is None else "first difference at t^%d" % diff,
-    )
     # the printed prefix is checked in full even when `order` is shorter
-    prefix = maximal_gf().expand(max(order, len(MAXIMAL_PREFIX))).integer_coefficients()
+    maximal = maximal_gf().expand(max(order, len(MAXIMAL_PREFIX)))
+    for label, ring, images, want in (
+        ("u := 1 gives the down-degree GF", UD, {"u": 1}, down_gf().expand(order)),
+        ("d := 1 gives the up-degree GF", UD, {"d": 1}, up_gf().expand(order)),
+        ("u, d := x gives the degree GF", DEGREE_RING, {"u": x, "d": x}, degree_gf().expand(order)),
+        ("u := 0, d := 1 gives the maximal-count GF", SCALAR, {"u": 0, "d": 1}, maximal),
+    ):
+        report.expect_series(label, [c.map_onto(ring, images) for c in base], want.coeffs)
+    prefix = maximal.integer_coefficients()
     report.expect_equal(
         "maximal-count prefix", prefix[1 : len(MAXIMAL_PREFIX) + 1], MAXIMAL_PREFIX
     )
@@ -452,25 +424,20 @@ def edge_gf_check(order=40, brute_max=12):
     """Edge-count GF from both degree derivatives plus the closed formula."""
     report = Report("edge generating function")
     edges = edge_gf().expand(order).integer_coefficients()
-    from_down = (
-        down_gf().expand(order).partial_derivative("d").apply(lambda c: c.evaluate_at("d", 1))
-    )
+    down = [c.partial_derivative("d") for c in down_gf().expand(order).coeffs]
+    from_down = TruncatedSeries(UD, [c.evaluate_at("d", 1) for c in down])
     report.expect_equal(
         "d-derivative of down GF at d=1", from_down.integer_coefficients(), edges
     )
-    from_up = (
-        up_gf().expand(order).partial_derivative("u").apply(lambda c: c.evaluate_at("u", 1))
-    )
+    up = [c.partial_derivative("u") for c in up_gf().expand(order).coeffs]
+    from_up = TruncatedSeries(UD, [c.evaluate_at("u", 1) for c in up])
     report.expect_equal(
         "u-derivative of up GF at u=1", from_up.integer_coefficients(), edges
     )
-    deriv = edge_derivative_gf().expand(order)
-    full_down = down_gf().expand(order).partial_derivative("d")
-    diff = full_down.first_difference(deriv)
-    report.add(
+    report.expect_series(
         "printed derivative form matches d/dd of down GF",
-        diff is None,
-        "" if diff is None else "first difference at t^%d" % diff,
+        down,
+        edge_derivative_gf().expand(order).coeffs,
     )
     for n in range(5, min(order, 30) + 1):
         if graph.closed_form_edge_count(n) != edges[n]:
@@ -494,12 +461,13 @@ def edge_gf_check(order=40, brute_max=12):
 def degree_k_series(k, order):
     """Number of degree-k vertices of R_n for n = 0..order, from the GF."""
     if k < 0:
-        raise ValueError("k must be nonnegative")
-    series = gf_degree_closed(order)
-    return [
-        series.coefficient(n).coefficient("x", k).constant_term()
-        for n in range(order + 1)
-    ]
+        raise DomainError("k must be nonnegative")
+    return _degree_k_counts(gf_degree_closed(order), k)
+
+
+def _degree_k_counts(series, k):
+    """[x^k] of every coefficient of an expanded degree GF."""
+    return [c.coefficient("x", k).constant_term() for c in series.coeffs]
 
 
 DEGREE_K_PREFIXES = {
@@ -526,8 +494,9 @@ def _degree_k_law(k, n):
 def degree_k_law_check(order=40):
     """Printed prefixes and eventual laws for the degree-k counts."""
     report = Report("degree-k counts")
+    series = gf_degree_closed(order)
     for k in (2, 3, 4, 5):
-        seq = degree_k_series(k, order)
+        seq = _degree_k_counts(series, k)
         if k in DEGREE_K_PREFIXES:
             start, prefix = DEGREE_K_PREFIXES[k]
             report.expect_equal(
@@ -578,7 +547,11 @@ def conjecture_pk_probe(k, order=40):
     (15k+8)/2 for even k and (15k+7)/2 for odd k.  Truncated series can
     only furnish evidence, so the result reports what was observed.
     """
-    coeffs = degree_k_series(k, order)
+    return _pk_probe(k, order, degree_k_series(k, order))
+
+
+def _pk_probe(k, order, coeffs):
+    """conjecture_pk_probe on `coeffs`, the degree-k counts through t^order."""
     for _ in range(k + 1):
         # times (1 - t^2), truncated at t^order
         coeffs = coeffs[:2] + [c - b for c, b in zip(coeffs[2:], coeffs)]
@@ -590,8 +563,9 @@ def conjecture_pk_probe(k, order=40):
 
 def pk_probe_check(k_max=4, order=40):
     report = Report("degree-k polynomial-form probe")
+    series = gf_degree_closed(order)
     for k in range(k_max + 1):
-        probe = conjecture_pk_probe(k, order)
+        probe = _pk_probe(k, order, _degree_k_counts(series, k))
         report.add(
             "k=%d tail vanishes beyond degree %d" % (k, probe.conjectured_bound),
             probe.residual_zero and probe.observed_degree <= probe.conjectured_bound,
@@ -603,10 +577,9 @@ def pk_probe_check(k_max=4, order=40):
 def recurrence_check(n_max=40):
     """The linear recurrence satisfied by g_n for n >= 12."""
     if n_max < 12:
-        raise ValueError("recurrence starts at n = 12")
+        raise DomainError("recurrence starts at n = 12")
     report = Report("degree polynomial recurrence")
-    series = gf_degree_closed(n_max)
-    g = [series.coefficient(n) for n in range(n_max + 1)]
+    g = gf_degree_closed(n_max).coeffs
     x = DEGREE_RING.var("x")
     for n in range(12, n_max + 1):
         rhs = (

@@ -49,8 +49,8 @@ from itertools import zip_longest
 import numpy as np
 
 from . import config, graph, poset, strings
-from .errors import ResourceLimitError
-from .polyseries import MultiPoly, RationalGF, Ring, TruncatedSeries
+from .errors import DomainError, ResourceLimitError
+from .polyseries import MultiPoly, RationalGF, Ring, TruncatedSeries, over_t2
 from .report import Report
 
 XQ = Ring(("x", "q"))
@@ -90,7 +90,7 @@ PRINTED_Q = {
 def q_polynomial(n, cap=None):
     """Q_n(x, q) by direct enumeration of the strings of length n."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     total = strings.fibonacci(n) if n else 1
     limit = config.vertex_cap(cap)
     if total > limit:
@@ -257,12 +257,7 @@ def functional_identity_check(order=24):
     report = Report("inversion functional identity")
     bits, h = _scanned_series(order)
     rhs = [{0: 1}] + [_letter_step(h, n, bits) for n in range(1, order + 1)]
-    diff = next((n for n in range(order + 1) if h[n] != rhs[n]), None)
-    report.add(
-        "functional identity through t^%d" % order,
-        diff is None,
-        "" if diff is None else "first difference at t^%d" % diff,
-    )
+    report.expect_series("functional identity through t^%d" % order, h, rhs)
     return report
 
 
@@ -274,15 +269,11 @@ def q1_specialization_check(order=24):
     top = max(order, 2)
     bits, qs = _packed_series(top)
     collapsed = [_at_q_one(s, bits) for s in qs]
-    h1 = TruncatedSeries(
-        XQ, [MultiPoly(XQ, {(a, 0): c for a, c in q1.items()}) for q1 in collapsed], top
-    )
-    gf = q1_gf().expand(order)
-    diff = h1.first_difference(gf)
-    report.add(
+    h1 = [MultiPoly(XQ, {(a, 0): c for a, c in q1.items()}) for q1 in collapsed]
+    report.expect_series(
         "H at q = 1 equals (1 - xt^2)/(1 - t - xt^2) through t^%d" % order,
-        diff is None,
-        "" if diff is None else "first difference at t^%d" % diff,
+        h1,
+        q1_gf().expand(order).coeffs,
     )
     shifted_q = (MultiPoly(poset.X_RING, {(a,): c for a, c in q1.items()}) for q1 in collapsed[2:])
     mismatch = next(
@@ -293,15 +284,11 @@ def q1_specialization_check(order=24):
         mismatch is None,
         "" if mismatch is None else "mismatch at n=%d" % mismatch,
     )
-    shifted = (
-        h1 - TruncatedSeries.from_terms(XQ, {0: 1, 1: 1, 2: 1}, top)
-    ).shift_divide_by_t_power(2)
-    rank_gf = poset.rank_gf().expand(top - 2).map_onto(XQ, {"x": XQ.var("x")})
-    diff = shifted.first_difference(rank_gf)
-    report.add(
+    x = XQ.var("x")
+    report.expect_series(
         "(H|q=1 - 1 - t - t^2)/t^2 is the rank GF",
-        diff is None,
-        "" if diff is None else "first difference at t^%d" % diff,
+        over_t2(h1, [1, 1, 1]),
+        [c.map_onto(XQ, {"x": x}) for c in poset.rank_gf().expand(top - 2).coeffs],
     )
     return report
 

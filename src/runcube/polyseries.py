@@ -1,13 +1,17 @@
-"""Exact multivariate polynomials and truncated power series in t.
+"""Exact multivariate polynomials, rational generating functions and their expansions in t.
 
 Polynomials live over a small registry of named variables (a Ring) and keep
 integer coefficients in a dict keyed by exponent vectors, so no precision is
-ever lost.  Truncated series are lists of such polynomials indexed by the
-power of the formal variable t; all series arithmetic is exact up to the
-truncation order, and a series multiplies only by a scalar.  RationalGF
-holds a rational generating function whose denominator has constant term
-1, multiplies such functions exactly, and expands one by the division
-recurrence.
+ever lost.  RationalGF holds a rational generating function whose
+denominator has constant term 1, multiplies and adds such functions
+exactly, and expands one by the division recurrence.  An expanded series
+is a TruncatedSeries: a ring, a truncation order and the list `coeffs` of
+the MultiPoly coefficients of t^0 .. t^order.  Callers specialize,
+differentiate and compare expansions with plain comprehensions over that
+list; a TruncatedSeries itself only multiplies by a scalar, divides by a
+series whose constant term is 1 and forms the geometric inverse
+1/(1 - s).  over_t2 takes known low terms off a coefficient list and
+divides it by t^2.
 
 Series division and the geometric inverse run on Kronecker-packed bigints
 (Kronecker substitution; D. Harvey, J. Symbolic Comput. 44 (2009)).  Each
@@ -28,14 +32,15 @@ order 100, 9-byte slots where a bound on the 1-norms asks for 17).
 The recurrence is a stream: it yields the coefficient of t^k as soon as it
 has computed it and keeps only the packed coefficients later steps read,
 so RationalGF.coefficients lets a caller write each coefficient and drop
-it; RationalGF.expand and TruncatedSeries.divide_by collect the same
-stream into a series.  RationalGF.graded_terms yields each coefficient
-straight from the decoded slots, as exponent columns and ints put in
-graded lex order by one numpy lexsort, which `runcube gf` formats without
-building a MultiPoly.  Unpacking reads only the slots up to the highest
-nonzero one, adds 2^(w-1) to each, reads their bytes once through numpy
-and converts the slots that differ from that bias in one pass.  Packing
-shifts by exponents, so a Ring refuses negative ones.  A quotient whose
+it; RationalGF.expand collects the stream into a series, and
+TruncatedSeries.divide_by runs the same recurrence on two coefficient
+lists.  RationalGF.graded_terms yields each coefficient straight from the
+decoded slots, as exponent columns and ints put in graded lex order by one
+numpy lexsort, which `runcube gf` formats without building a MultiPoly.
+Unpacking reads only the slots up to the highest nonzero one, adds
+2^(w-1) to each, reads their bytes once through numpy and converts the
+slots that differ from that bias in one pass.  Packing shifts by
+exponents, so a Ring refuses negative ones.  A quotient whose
 whole series (order + 1 packed coefficients) would take more than
 PACKED_MAX_BYTES is refused with ResourceLimitError before anything is
 packed; it sizes that check with B_k = |num_k|_1 + sum_j |den_j|_1 B_(k-j),
@@ -536,7 +541,12 @@ class _Layout:
 
 
 class TruncatedSeries:
-    """Power series in t truncated at a fixed order, coefficients MultiPoly."""
+    """An expanded series: `ring`, `order` and the MultiPoly list `coeffs` of t^0 .. t^order.
+
+    Callers read and transform `coeffs` directly.  The series itself only
+    multiplies by a scalar, divides by a series whose constant term is 1
+    and forms 1/(1 - s), all truncated at its order.
+    """
 
     __slots__ = ("ring", "order", "coeffs")
 
@@ -554,33 +564,6 @@ class TruncatedSeries:
         self.ring = ring
         self.order = order
         self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, ring, order):
-        return cls(ring, [], order)
-
-    @classmethod
-    def one(cls, ring, order):
-        return cls(ring, [ring.one()], order)
-
-    @classmethod
-    def from_terms(cls, ring, terms, order):
-        """Build from {t power: coefficient}, coefficients ints or MultiPoly.
-
-        Powers above `order` are truncated; a negative power is refused.
-        """
-        if order < 0:
-            raise DomainError("series order must be nonnegative")
-        coeffs = [ring.zero()] * (order + 1)
-        for k, c in terms.items():
-            if k < 0:
-                raise DomainError("t powers must be nonnegative, got %d" % k)
-            if isinstance(c, int):
-                c = ring.const(c)
-            if k <= order:
-                # the sum refuses a coefficient from another registry
-                coeffs[k] = coeffs[k] + c
-        return cls._trusted(ring, coeffs, order)
 
     @classmethod
     def _trusted(cls, ring, coeffs, order):
@@ -605,70 +588,20 @@ class TruncatedSeries:
             out.append(c.constant_term())
         return out
 
-    def _coerce_scalar(self, other):
-        if isinstance(other, int):
-            return self.ring.const(other)
-        if isinstance(other, MultiPoly):
-            if other.ring != self.ring:
-                raise RegistryError("scalar registry mismatch")
-            return other
-        return None
-
-    def _common_order(self, other):
-        return min(self.order, other.order)
-
-    def __add__(self, other):
-        if isinstance(other, TruncatedSeries):
-            n = self._common_order(other)
-            return TruncatedSeries(
-                self.ring, [self.coeffs[k] + other.coeffs[k] for k in range(n + 1)], n
-            )
-        scalar = self._coerce_scalar(other)
-        if scalar is None:
-            return NotImplemented
-        coeffs = list(self.coeffs)
-        coeffs[0] = coeffs[0] + scalar
-        return TruncatedSeries(self.ring, coeffs, self.order)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-1) * other if isinstance(other, TruncatedSeries) else self + (-other)
-
-    def __rsub__(self, other):
-        return ((-1) * self) + other
-
     def __mul__(self, other):
-        scalar = self._coerce_scalar(other)
-        if scalar is None:
+        if isinstance(other, int):
+            other = self.ring.const(other)
+        elif not isinstance(other, MultiPoly):
             return NotImplemented
-        return TruncatedSeries(self.ring, [c * scalar for c in self.coeffs], self.order)
+        _check_same_ring(self, other)
+        return TruncatedSeries(self.ring, [c * other for c in self.coeffs], self.order)
 
     __rmul__ = __mul__
-
-    def shift(self, k):
-        """Multiply by t**k."""
-        if k < 0:
-            raise DomainError("shift exponent must be nonnegative")
-        return TruncatedSeries(
-            self.ring, [self.ring.zero()] * k + self.coeffs[: self.order + 1 - k], self.order
-        )
-
-    def shift_divide_by_t_power(self, k):
-        """Divide by t**k; the first k coefficients must vanish."""
-        for j in range(min(k, self.order + 1)):
-            if self.coeffs[j]:
-                raise SeriesError(
-                    "cannot divide by t^%d: coefficient of t^%d is %s"
-                    % (k, j, self.coeffs[j].render()),
-                    index=j,
-                )
-        return TruncatedSeries(self.ring, self.coeffs[k:], self.order - k)
 
     def divide_by(self, den):
         """Divide by a series whose constant coefficient is 1."""
         _check_same_ring(self, den)
-        n = self._common_order(den)
+        n = min(self.order, den.order)
         if den.coeffs[0] != self.ring.one():
             raise SeriesError(
                 "divisor constant term must be 1, got %s" % den.coeffs[0].render(),
@@ -688,43 +621,9 @@ class TruncatedSeries:
                 % self.coeffs[0].render(),
                 index=0,
             )
-        one = TruncatedSeries.one(self.ring, self.order)
-        return one.divide_by(one - self)
-
-    def substitute(self, name, replacement):
-        return self.apply(lambda c: c.substitute(name, replacement))
-
-    def evaluate_at(self, name, value):
-        return self.apply(lambda c: c.evaluate_at(name, value))
-
-    def partial_derivative(self, name):
-        """Differentiate each coefficient with respect to a ring variable."""
-        return self.apply(lambda c: c.partial_derivative(name))
-
-    def map_onto(self, target, mapping):
-        return TruncatedSeries(
-            target, [c.map_onto(target, mapping) for c in self.coeffs], self.order
-        )
-
-    def apply(self, fn):
-        return TruncatedSeries(self.ring, [fn(c) for c in self.coeffs], self.order)
-
-    def agrees_with(self, other, upto=None):
-        """Equality of coefficients through min(order) or an explicit bound."""
-        n = self._common_order(other)
-        if upto is not None:
-            n = min(n, upto)
-        if self.ring != other.ring:
-            return False
-        return all(self.coeffs[k] == other.coeffs[k] for k in range(n + 1))
-
-    def first_difference(self, other):
-        """Smallest index where coefficients differ, or None."""
-        n = self._common_order(other)
-        for k in range(n + 1):
-            if self.coeffs[k] != other.coeffs[k]:
-                return k
-        return None
+        one = self.ring.one()
+        den = TruncatedSeries._trusted(self.ring, [one] + [-c for c in self.coeffs[1:]], self.order)
+        return TruncatedSeries(self.ring, [one], self.order).divide_by(den)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -742,6 +641,21 @@ class TruncatedSeries:
                 shown.append("(%s)*t^%d" % (c.render(), k))
         body = " + ".join(shown) if shown else "0"
         return "TruncatedSeries(%s + O(t^%d))" % (body, self.order + 1)
+
+
+def over_t2(coeffs, low):
+    """Coefficient list of (S - low[0] - low[1] t - low[2] t^2) / t^2, S given by `coeffs`.
+
+    `low` holds ints.  SeriesError, with the index, when S - low keeps a
+    nonzero coefficient of t^0 or t^1.
+    """
+    rest = [c - want for c, want in zip(coeffs, low)] + coeffs[len(low):]
+    for j in (0, 1):
+        if rest[j]:
+            raise SeriesError(
+                "cannot divide by t^2: coefficient of t^%d is %s" % (j, rest[j].render()), index=j
+            )
+    return rest[2:]
 
 
 def _divide(num, den, arity, order):

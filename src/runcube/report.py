@@ -18,6 +18,16 @@ class Report:
             return self.add(label, True)
         return self.add(label, False, "got %s, want %s" % (_short(got), _short(want)))
 
+    def expect_series(self, label, got, want):
+        """Record whether two coefficient lists agree over their common length.
+
+        On failure the detail names the first power of t whose coefficients differ.
+        """
+        diff = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        return self.add(
+            label, diff is None, "" if diff is None else "first difference at t^%d" % diff
+        )
+
     def merge(self, other):
         for label, ok, detail in other.checks:
             self.checks.append(("%s: %s" % (other.name, label), ok, detail))

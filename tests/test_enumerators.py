@@ -1,7 +1,9 @@
 import pytest
 
 from goldens import G_PRINTED, R4_DEGREE, R4_DOWN, R4_UP, UPDOWN_PRINTED
-from runcube import enumerators as en
+from runcube import enumerators as en, inversions
+from runcube.errors import DomainError
+from runcube.polyseries import RationalGF
 
 
 def test_printed_updown_polynomials():
@@ -41,7 +43,7 @@ def test_up_gf_bare_t3_variant_fails_at_t4():
     # census at the fourth coefficient; the (u-2)t^3 reading never does
     good = en.up_gf().expand(12)
     bad = en.up_gf_printed_variant().expand(12)
-    assert good.first_difference(bad) == 4
+    assert [k for k in range(13) if good.coeffs[k] != bad.coeffs[k]][0] == 4
     assert bad.coefficient(4) != en.UD.poly(R4_UP)
     assert good.coefficient(4) == en.UD.poly(R4_UP)
     census = en.updown_polynomial(4).evaluate_at("d", 1)
@@ -147,8 +149,44 @@ def test_pk_probe_degree_is_eleven_k_plus_four_over_two():
 def test_recurrence():
     rep = en.recurrence_check(n_max=30)
     assert rep.ok, "\n".join(rep.failures)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         en.recurrence_check(n_max=5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: en.assemble_case_gfs(2),
+        lambda: en.degree_k_series(-1, 10),
+        lambda: inversions.q_polynomial(-1),
+    ],
+    ids=["assembly", "degree_k", "q_polynomial"],
+)
+def test_bad_arguments_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "check, want",
+    [
+        (lambda: [en.pk_probe_check(k_max=6, order=40)], 1),
+        (lambda: [en.degree_k_law_check(order=30)], 1),
+        (lambda: en.suite(max_n=8, order=16), 4),
+    ],
+    ids=["pk_probe", "degree_k_law", "suite"],
+)
+def test_each_check_expands_the_degree_gf_once(monkeypatch, check, want):
+    calls = []
+    expand = en.gf_degree_closed
+
+    def counted(order):
+        calls.append(order)
+        return expand(order)
+
+    monkeypatch.setattr(en, "gf_degree_closed", counted)
+    assert all(r.ok for r in check())
+    assert len(calls) == want
 
 
 def test_combined_e_form_matches_parts():
@@ -157,16 +195,16 @@ def test_combined_e_form_matches_parts():
     assembly = en.assemble_case_gfs(24)
     combined = en.combined_e_gf(24)
     assert combined.order == 24
-    assert assembly.cases["E"].agrees_with(combined)
+    assert assembly.cases["E"] == combined
     for m in range(1, 19):
         census = en.case_census_polynomials(m)
         for tag in "ABCDE":
             assert assembly.cases[tag].coefficient(m) == census[tag], (tag, m)
         for sub in ("zero", "single", "block"):
             assert assembly.e_parts[sub].coefficient(m) == census["E/" + sub], (sub, m)
-    total = sum((assembly.cases[t] for t in "BCDE"), assembly.cases["A"])
-    assert assembly.gfx.agrees_with(total)
-    assert assembly.gf.first_difference(en.gf_updown_closed(22)) is None
+    total = [sum(cs) for cs in zip(*(assembly.cases[t].coeffs for t in "ABCDE"))]
+    assert assembly.gfx.coeffs == total
+    assert assembly.gf == en.gf_updown_closed(22).coeffs
 
 
 def test_assembly_never_reads_the_printed_closed_form(monkeypatch):
@@ -196,3 +234,57 @@ def test_suite_reports_expected_names():
     assert "closed forms vs census" in names
     assert "five-case assembly" in names
     assert all(r.ok for r in reports)
+
+
+def _with_term(make, k, c):
+    """A generating function maker whose expansion differs from make's at t^k only."""
+    gf = make()
+    wrong = gf + RationalGF(gf.ring, {k: c})
+    return lambda: wrong
+
+
+@pytest.mark.parametrize(
+    "check, name, mutant, line",
+    [
+        (
+            lambda: en.case_assembly_check(order=12, max_len=8),
+            "updown_gf",
+            _with_term(en.updown_gf, 9, en.UD.var("u")),
+            "FAIL assembled GF equals closed form through order 10: first difference at t^9",
+        ),
+        (
+            lambda: en.specialize_checks(order=16),
+            "down_gf",
+            _with_term(en.down_gf, 6, 1),
+            "FAIL u := 1 gives the down-degree GF: first difference at t^6",
+        ),
+        (
+            lambda: en.specialize_checks(order=16),
+            "up_gf",
+            en.up_gf_printed_variant,
+            "FAIL d := 1 gives the up-degree GF: first difference at t^4",
+        ),
+        (
+            lambda: en.specialize_checks(order=16),
+            "degree_gf",
+            _with_term(en.degree_gf, 11, en.DEGREE_RING.var("x")),
+            "FAIL u, d := x gives the degree GF: first difference at t^11",
+        ),
+        (
+            lambda: en.specialize_checks(order=16),
+            "maximal_gf",
+            _with_term(en.maximal_gf, 15, -1),
+            "FAIL u := 0, d := 1 gives the maximal-count GF: first difference at t^15",
+        ),
+        (
+            lambda: en.edge_gf_check(order=16),
+            "edge_derivative_gf",
+            _with_term(en.edge_derivative_gf, 7, en.UD.var("d")),
+            "FAIL printed derivative form matches d/dd of down GF: first difference at t^7",
+        ),
+    ],
+    ids=["assembly", "u=1", "d=1", "u,d=x", "u=0,d=1", "edge_derivative"],
+)
+def test_series_checks_name_the_first_wrong_power(monkeypatch, check, name, mutant, line):
+    monkeypatch.setattr(en, name, mutant)
+    assert check().failures == [line]

@@ -3,7 +3,7 @@ import pytest
 from runcube import inversions as inv
 from runcube import poset, strings
 from runcube.errors import ResourceLimitError
-from runcube.polyseries import MultiPoly
+from runcube.polyseries import MultiPoly, RationalGF
 
 
 def test_printed_tables():
@@ -132,6 +132,31 @@ def test_functional_identity_catches_a_wrong_substitution(monkeypatch):
     monkeypatch.setattr(inv, "_letter_step", letter_step)
     rep = inv.functional_identity_check(order=12)
     assert rep.failures == ["FAIL functional identity through t^12: first difference at t^4"]
+
+
+@pytest.mark.parametrize(
+    "module, name, k, line",
+    [
+        (
+            inv,
+            "q1_gf",
+            5,
+            "FAIL H at q = 1 equals (1 - xt^2)/(1 - t - xt^2) through t^12: first difference at t^5",
+        ),
+        (
+            poset,
+            "rank_gf",
+            3,
+            "FAIL (H|q=1 - 1 - t - t^2)/t^2 is the rank GF: first difference at t^3",
+        ),
+    ],
+    ids=["q1_gf", "rank_gf"],
+)
+def test_q1_specialization_names_the_first_wrong_power(monkeypatch, module, name, k, line):
+    right = getattr(module, name)()
+    wrong = right + RationalGF(right.ring, {k: right.ring.var("x")})
+    monkeypatch.setattr(module, name, lambda: wrong)
+    assert inv.q1_specialization_check(order=12).failures == [line]
 
 
 @pytest.mark.parametrize("build", [inv.q_series, inv.functional_identity_check])
