@@ -27,8 +27,11 @@ come in ascending label order.
 Distances come from one bit-parallel BFS kernel, `bfs_levels`, after
 Then et al., "The More the Merrier: Efficient Multi-Source Graph
 Traversal" (VLDB 2014): up to 64 sources advance together, each vertex
-holding a uint64 word of the sources that have reached it, and each level
-is a single gather and per-row OR over the CSR arrays.  `bfs_distances`,
+holding a uint64 word of the sources that have reached it.  Each level
+chooses its direction, after Beamer, Asanovic and Patterson,
+"Direction-optimizing breadth-first search" (SC 2012): a small frontier
+pushes its words along its own CSR rows only, a large one is pulled by
+one gather and per-row OR over every arc.  `bfs_distances`,
 `eccentricity`, `diameter`, `radius` and `embedding.dilation` all read
 their answers off its levels.
 
@@ -429,11 +432,21 @@ def closed_form_edge_count(n):
 
 BFS_WIDTH = 64
 
+# a level pushes from its frontier rows while they are fewer than
+# 1 / PUSH_SHARE of the vertices, and pulls over the whole CSR otherwise
+PUSH_SHARE = 4
+
 
 def _source_index(graph, source):
-    """A vertex index, or a label string resolved via index_of, range-checked."""
+    """A vertex index, or a label string resolved via index_of, range-checked.
+
+    Only ints and numpy integers are indices: a float, a bool or anything
+    else is refused rather than truncated.
+    """
     if isinstance(source, str):
         source = graph.index_of(source)
+    elif isinstance(source, bool) or not isinstance(source, (int, np.integer)):
+        raise ValidationError("BFS source %r is not a vertex index or a label" % (source,))
     source = int(source)
     if source < 0 or source >= graph.vertex_count:
         raise ValidationError("vertex index %d out of range" % source)
@@ -444,31 +457,51 @@ def bfs_levels(graph, sources):
     """Bit-parallel BFS from up to 64 sources at once, one level per step.
 
     Vertex v holds one uint64 word whose bit s is set once sources[s] has
-    reached v.  Each level gathers the frontier words over the CSR arcs and
-    ORs them per row with one reduceat; the bits a vertex did not have
-    before are the next frontier.  Yields, for d = 1, 2, ..., the uint64
-    array of bits newly set at distance d, so the number of levels is the
-    largest eccentricity among the sources.  After the last level, raises
-    StructureError if some source did not reach every vertex.
+    reached v.  Each level is direction-optimizing, after Beamer, Asanovic
+    and Patterson, "Direction-optimizing breadth-first search" (SC 2012).
+    While the frontier has fewer than 1/PUSH_SHARE of the vertices, a push
+    step reads the CSR arcs of the frontier rows only and ORs their words
+    into the targets.  Otherwise a pull step gathers the frontier words over
+    every arc and ORs them per row with one reduceat.  Either way, the bits
+    a vertex did not have before are the next frontier.  Yields, for
+    d = 1, 2, ..., the uint64 array of bits newly set at distance d, so the
+    number of levels is the largest eccentricity among the sources.  After
+    the last level, raises StructureError if some source did not reach
+    every vertex.
     """
     sources = [_source_index(graph, s) for s in sources]
     k = len(sources)
     if not 1 <= k <= BFS_WIDTH:
         raise ValidationError("bfs_levels takes 1 to %d sources, got %d" % (BFS_WIDTH, k))
     nv = graph.vertex_count
+    indptr, indices = graph.indptr, graph.indices
     bits = np.uint64(1) << np.arange(k, dtype=np.uint64)
     seen = np.zeros(nv, dtype=np.uint64)
     np.bitwise_or.at(seen, sources, bits)
+    degree = indptr[1:] - indptr[:-1]
     # reduceat would give a zero-degree row the next row's first arc (and
     # fail on a trailing one), so only rows with arcs are reduced
-    has_arcs = graph.indptr[1:] > graph.indptr[:-1]
-    starts = graph.indptr[:-1][has_arcs]
+    has_arcs = degree > 0
+    starts = indptr[:-1][has_arcs]
     frontier = seen.copy()
+    rows = seen.nonzero()[0]
     while starts.size:
         reached = np.zeros(nv, dtype=np.uint64)
-        reached[has_arcs] = np.bitwise_or.reduceat(frontier[graph.indices], starts)
+        if rows.size * PUSH_SHARE < nv:
+            first = indptr[rows]
+            counts = degree[rows]
+            ends = counts.cumsum()
+            # the arcs of each frontier row, laid end to end
+            targets = indices[(first - ends + counts).repeat(counts) + np.arange(ends[-1])]
+            if k == 1:  # every frontier word is 1
+                reached[targets] = 1
+            else:
+                np.bitwise_or.at(reached, targets, frontier[rows].repeat(counts))
+        else:
+            reached[has_arcs] = np.bitwise_or.reduceat(frontier[indices], starts)
         frontier = reached & ~seen
-        if not frontier.any():
+        rows = frontier.nonzero()[0]
+        if not rows.size:
             break
         seen |= frontier
         yield frontier
@@ -496,6 +529,11 @@ def bfs_distances(graph, source):
 
 
 def eccentricity(graph, source):
+    """Largest BFS distance from one source: the number of levels of `bfs_levels`.
+
+    The source is a vertex index, or a label string resolved via index_of;
+    raises StructureError if the graph is disconnected.
+    """
     return sum(1 for _ in bfs_levels(graph, [source]))
 
 

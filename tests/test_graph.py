@@ -1,3 +1,4 @@
+import random
 from collections import deque
 from itertools import combinations
 
@@ -194,6 +195,26 @@ def test_bfs_levels_repeated_source_and_width_limit():
         list(graph.bfs_levels(g, []))
 
 
+@pytest.mark.parametrize("k", [1, 2, 64])
+def test_push_and_pull_levels_match_oracle(k):
+    # 64 sources in all, in seeded batches of k; a level pushes from its
+    # frontier rows while they are under 1/PUSH_SHARE of the vertices
+    g = graph.build(14)
+    nv = g.vertex_count
+    rng = random.Random(k)
+    mixed = 0
+    for _ in range(64 // k):
+        batch = rng.sample(range(nv), k)
+        got = level_distances(g, batch)
+        for row, s in zip(got, batch):
+            assert row.tolist() == oracle_distances(g, s)
+            assert graph.bfs_distances(g, s).tolist() == oracle_distances(g, s)
+        # each step starts from the sources or from the level before it
+        sizes = [k] + [int(np.count_nonzero(new)) for new in graph.bfs_levels(g, batch)]
+        mixed += len({size * graph.PUSH_SHARE < nv for size in sizes}) == 2
+    assert mixed > 0
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_diameter_and_radius_match_oracle(n):
     g = graph.build(n)
@@ -247,12 +268,48 @@ def test_bfs_on_isolated_vertices_is_exact_until_the_check():
     assert levels == [[0, 0, 0b101, 0, 0], [0b100, 0, 0, 0b001, 0]]
 
 
+def test_push_steps_skip_zero_degree_rows():
+    # 16 vertices, so three frontier rows push; row 1 has no arcs and sits
+    # between rows 0 and 3, whose arcs must still be read at their offsets
+    g = hand_built([(0, 2), (2, 3)], 16)
+    assert 3 * graph.PUSH_SHARE < g.vertex_count
+    levels = []
+    with pytest.raises(StructureError, match="BFS from vertex 0 reached 3 of 16 vertices"):
+        for new in graph.bfs_levels(g, [0, 1, 3]):
+            levels.append(new.tolist())
+    assert levels == [[0, 0, 0b101] + [0] * 13, [0b100, 0, 0, 0b001] + [0] * 12]
+    with pytest.raises(StructureError, match="BFS from vertex 1 reached 1 of 16 vertices"):
+        graph.eccentricity(g, 1)
+
+
 def test_bfs_rejects_bad_sources():
     g = graph.build(4)
     with pytest.raises(ValidationError):
         graph.bfs_distances(g, "0011")
     with pytest.raises(ValidationError):
         graph.bfs_distances(g, 99)
+
+
+@pytest.mark.parametrize("source", [1.7, 0.5, True, False, np.float64(1.0), np.bool_(True), None])
+def test_bfs_rejects_non_integer_sources(source):
+    g = graph.build(4)
+    with pytest.raises(ValidationError, match="is not a vertex index or a label"):
+        graph.bfs_distances(g, source)
+    with pytest.raises(ValidationError, match="is not a vertex index or a label"):
+        graph.eccentricity(g, source)
+    with pytest.raises(ValidationError, match="is not a vertex index or a label"):
+        list(graph.bfs_levels(g, [0, source]))
+
+
+def test_bfs_takes_numpy_integer_sources():
+    g = graph.build(4)
+    for source in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert graph.bfs_distances(g, source).tolist() == oracle_distances(g, 3)
+        assert graph.eccentricity(g, source) == max(oracle_distances(g, 3))
+    assert level_distances(g, np.array([3, 0])).tolist() == [
+        oracle_distances(g, 3),
+        oracle_distances(g, 0),
+    ]
 
 
 def test_maximal_vertices_have_no_up_flips():
