@@ -20,9 +20,9 @@ invalid one.  The automaton has at most n + 4 states, so the tables hold
 O(n 2^(n/2)) entries, and a probe is two gathers and an add.  One kernel,
 `_flip_scan`, makes those passes for `build` (and `poset`'s reachability),
 for the brute census `degree_census`, and for `_maximal_by_flip_scan`, the
-oracle of `maximal_vertices`.  `build` fills its CSR rows without a sort,
-since down-neighbours by falling bit, then up-neighbours by rising bit,
-come in ascending label order.
+oracle of `maximal_vertices`.  For `build` it writes a table with each
+label's neighbour across each bit, -1 for none; one in-place sort per
+vertex row then puts the CSR adjacency lists in ascending order.
 
 Distances come from one bit-parallel BFS kernel, `bfs_levels`, after
 Then et al., "The More the Merrier: Efficient Multi-Source Graph
@@ -109,6 +109,8 @@ def _require_label(n, label):
             )
         mask = word_to_mask(label)
         word = label
+    elif isinstance(label, bool) or not isinstance(label, (int, np.integer)):
+        raise ValidationError("label %r is not a string or an integer mask" % (label,))
     else:
         mask = int(label)
         try:
@@ -150,6 +152,11 @@ def _run_automaton(n):
     return delta
 
 
+def _index_type(n):
+    """The dtype of R_n's vertex indices: int32 while it has fewer than 2^31 vertices."""
+    return np.int32 if fibonacci(n + 2) < 2**31 else np.int64
+
+
 def _rank_tables(n):
     """(first, offset, rank): R_n's label ranks, split at bit n//2.
 
@@ -162,12 +169,11 @@ def _rank_tables(n):
     index is first + rank.  That is 2^(n - n//2) entries per high table and
     (n + 4) 2^(n//2) in `rank`, one row per automaton state.  The rows are
     built a bit at a time: a state's completions one bit longer are those
-    of its 0-successor followed by those of its 1-successor.  Indices are
-    int32 while R_n has fewer than 2^31 vertices.
+    of its 0-successor followed by those of its 1-successor.
     """
     low = n // 2
     delta = _run_automaton(n)
-    index = np.int32 if fibonacci(n + 2) < 2**31 else np.int64
+    index = _index_type(n)
     highs = np.arange(1 << (n - low))
     state = np.ones(len(highs), dtype=np.intp)
     for j in range(n - low - 1, -1, -1):
@@ -183,7 +189,7 @@ def _rank_tables(n):
     return first, (state << low).astype(index), rank.ravel()
 
 
-def _flip_scan(chunk, n, edges=None, bits=None):
+def _flip_scan(chunk, n, table=None, bits=None):
     """uint8 (up, down) flip degrees of the labels in `chunk` within R_n.
 
     `chunk` is an ascending array of R_n's label masks.  Every mask is
@@ -195,9 +201,9 @@ def _flip_scan(chunk, n, edges=None, bits=None):
     low half keeps the row and moves the column, one inside the high half
     moves the row.  A hit is a neighbour, counted as up when the bit was
     0, which is when the neighbour's rank (low flips) or high half (high
-    flips) is larger.  When `edges` is a list, each bit's (chunk index,
-    neighbour index) arrays are appended to it, ascending in chunk index,
-    int32 while R_n has fewer than 2^31 vertices.
+    flips) is larger.  A `table` of shape (number of bits, len(chunk)) and
+    dtype `_index_type(n)` gets, in row k, each label's neighbour's index in
+    R_n across the k-th bit scanned, -1 where that flip leaves R_n.
     """
     first, offset, rank = _rank_tables(n)
     low = n // 2
@@ -206,9 +212,10 @@ def _flip_scan(chunk, n, edges=None, bits=None):
     lo = (chunk & ((1 << low) - 1)).astype(index)
     here = offset.take(hi) | lo
     own = rank.take(here)
+    base = first.take(hi)
     ups = np.zeros(len(chunk), dtype=np.uint8)
     degrees = np.zeros(len(chunk), dtype=np.uint8)
-    for j in range(n) if bits is None else bits:
+    for k, j in enumerate(range(n) if bits is None else bits):
         if j < low:
             top = hi
             r = rank.take(here ^ index(1 << j))
@@ -220,9 +227,9 @@ def _flip_scan(chunk, n, edges=None, bits=None):
         member = r >= 0
         ups += member & up
         degrees += member
-        if edges is not None:
-            idx = np.flatnonzero(member).astype(index)
-            edges.append((idx, first.take(top.take(idx)) + r.take(idx)))
+        if table is not None:
+            np.add(base if j < low else first.take(top), r, out=table[k])
+            table[k][~member] = -1
     return ups, degrees - ups
 
 
@@ -272,28 +279,15 @@ def build(n, cap=None):
     """Materialize R_n explicitly; capped by the vertex limit."""
     total = _vertex_total(n, cap)
     labels = vertex_labels(n)
-    edges = []
-    ups, downs = _flip_scan(labels, n, edges)
+    table = np.empty((n, len(labels)), dtype=_index_type(n))
+    ups, downs = _flip_scan(labels, n, table)
     indptr = np.zeros(len(labels) + 1, dtype=np.int64)
     np.cumsum(ups + downs, dtype=np.int64, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    cursor = indptr[:-1].copy()
-
-    def fill(scans, side):
-        for idx, pos in scans:
-            hit = side(pos, idx)
-            rows = idx[hit]
-            at = cursor[rows]
-            indices[at] = pos[hit]
-            cursor[rows] = at + 1
-
-    # a down-flip leads to a smaller label, the smaller the higher its bit,
-    # and an up-flip to a larger one, the larger the higher its bit: down-
-    # flips by falling bit, then up-flips by rising bit, fill each row in
-    # ascending order
-    fill(reversed(edges), np.less)
-    fill(edges, np.greater)
-    graph = FibRunGraph(n, labels, indptr, indices, ups, downs)
+    table = table.T  # one row per vertex, where the misses (-1) sort first
+    table.sort(axis=1)
+    indices = table[table >= 0]
+    del table  # freed first, so the int64 copy is never made beside the table
+    graph = FibRunGraph(n, labels, indptr, indices.astype(np.int64), ups, downs)
     if graph.vertex_count != total:
         raise StructureError(
             "R_%d built with %d vertices, expected %d" % (n, graph.vertex_count, total)

@@ -21,8 +21,9 @@ defining recursion and serves as the oracle in mobius_check().
 
 One reachability kernel, `_reach`, answers every question: transitive
 closure by bitset union in topological order (Purdom, BIT 1970;
-Nuutila 1995).  One `graph._flip_scan` finds the edges among a sorted
-label array.  Bit k stands for the k-th label, and ascending masks are a
+Nuutila 1995).  One `graph._flip_scan` writes the neighbour table of a
+sorted label array, and one `np.nonzero` reads the up-arcs off it.
+Bit k stands for the k-th label, and ascending masks are a
 topological order, so up[v] is bit v OR the up sets of v's
 up-neighbours, filled from the top down, and down[v] the mirror.  The
 interval [a, b] is up[a] & down[b], and mu(a, b) is -sum of mu(a, z)
@@ -100,25 +101,24 @@ def _refuse_oversized(n, cap=None):
     _check_reach(n, graph._vertex_total(n, cap))
 
 
-def _reach(n, labels, bits=None, position=None):
+def _reach(n, labels, bits, position=None):
     """(masks, up, down) of `labels`, a sorted array of R_n's label masks.
 
     masks holds their full-string masks, and bit k of the int bitsets up[v]
     and down[v] stands for masks[k]: up[v] is what v reaches by valid
     0 -> 1 flips, down[v] what reaches v, v included.  The flip scan tries
-    the label bits in `bits` (all n by default), and `position` maps its
-    R_n indices to indices in `labels` (the identity by default).
+    the label bits in `bits`, and `position` maps its R_n indices to
+    indices in `labels` (the identity by default).
     """
     _check_reach(n, len(labels))
-    edges = []
-    graph._flip_scan(labels, n, edges, bits)
-    arcs = []
-    for src, dst in edges:
-        if position is not None:
-            dst = position[dst]
-        # a flip that adds a bit leads to a larger mask, so to a higher bit
-        arcs.extend(zip(src[src < dst].tolist(), dst[src < dst].tolist()))
-    arcs.sort()
+    table = np.empty((len(bits), len(labels)), dtype=graph._index_type(n))
+    graph._flip_scan(labels, n, table, bits)
+    if position is not None:
+        table = np.where(table >= 0, position[table], -1)
+    # a flip that adds a bit leads to a larger mask, so to a higher index;
+    # read a row per label, the arcs come ascending in their lower end
+    src, k = np.nonzero(table.T > np.arange(len(labels))[:, None])
+    arcs = list(zip(src.tolist(), table[k, src].tolist()))
     up = [1 << k for k in range(len(labels))]
     down = up[:]
     for lo, hi in reversed(arcs):
@@ -130,7 +130,7 @@ def _reach(n, labels, bits=None, position=None):
 
 def _whole(n, cap=None):
     _refuse_oversized(n, cap)
-    return _reach(n, graph.vertex_labels(n))
+    return _reach(n, graph.vertex_labels(n), range(n))
 
 
 def _box(n, u, v, cap=None):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import deque
 from itertools import combinations
 
@@ -312,6 +313,19 @@ def test_bfs_takes_numpy_integer_sources():
     ]
 
 
+
+@pytest.mark.parametrize("label", [2.9, 2.0, np.float64(2.0), True, False, np.bool_(True), None])
+def test_index_of_rejects_non_integer_labels(label):
+    g = graph.build(4)
+    with pytest.raises(ValidationError, match="is not a string or an integer mask"):
+        g.index_of(label)
+
+
+def test_index_of_takes_numpy_integer_labels():
+    g = graph.build(4)
+    for label in (2, np.int64(2), np.int32(2), np.uint8(2)):
+        assert g.index_of(label) == g.index_of("0010") == 2
+
 def test_maximal_vertices_have_no_up_flips():
     for n in range(1, 9):
         labels = graph.maximal_vertices(n)
@@ -397,6 +411,53 @@ def test_build_csr_matches_the_lexsort_oracle(n):
     same_row = rows[1:] == rows[:-1]
     assert (np.diff(g.indices)[same_row] > 0).all()
 
+
+
+def oracle_table(labels, n):
+    """R_n's neighbour table by the searchsorted scan: row j, each label's
+    neighbour index across bit j, -1 where the flip leaves R_n."""
+    _, _, edges = searchsorted_scan(labels, n)
+    table = np.full((n, len(labels)), -1)
+    for j, (idx, pos) in enumerate(edges):
+        table[j, idx] = pos
+    return table
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_flip_scan_table_matches_the_searchsorted_oracle(n):
+    labels = graph.vertex_labels(n)
+    want = oracle_table(labels, n)
+    table = np.empty((n, len(labels)), dtype=graph._index_type(n))
+    ups, downs = graph._flip_scan(labels, n, table)
+    assert graph._index_type(n) is np.int32
+    assert np.array_equal(table, want)
+    plain_ups, plain_downs = graph._flip_scan(labels, n)
+    assert np.array_equal(ups, plain_ups) and np.array_equal(downs, plain_downs)
+    # boxes a <= z <= b as poset._box scans them: the labels in the box
+    # only, flipped at the bits of b & ~a
+    rng = random.Random(n)
+    for _ in range(8):
+        b = rng.choice(labels.tolist())
+        a = rng.choice([z for z in labels.tolist() if z & ~b == 0])
+        inside = np.flatnonzero(((labels & a) == a) & ((labels & ~b) == 0))
+        bits = [j for j in range(n) if (b & ~a) >> j & 1]
+        table = np.empty((len(bits), len(inside)), dtype=graph._index_type(n))
+        graph._flip_scan(labels[inside], n, table, bits)
+        assert np.array_equal(table, want[bits][:, inside]), (a, b)
+
+
+def test_build_peak_memory_stays_under_1_9_times_its_output():
+    # the neighbour table is sorted as a view and freed before the int64
+    # copy of its entries >= 0, so it is never held twice, nor along with
+    # both copies of the indices
+    tracemalloc.start()
+    try:
+        g = graph.build(20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = (g.labels, g.indptr, g.indices, g.up_degrees, g.down_degrees)
+    assert peak <= 1.9 * sum(a.nbytes for a in arrays)
 
 def rank_lookup(n, masks):
     """Index of each n-bit mask among R_n's labels by the rank tables, -1 if none."""
