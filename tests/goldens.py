@@ -76,3 +76,22 @@ R4_CENSUS = {(0, 2): 3, (1, 1): 2, (2, 1): 2, (4, 0): 1}
 # were recorded with the per-pair closure code that preceded the bitsets
 POSET_PAIRS = {1: 3, 2: 5, 3: 11, 4: 21, 5: 42, 6: 83, 7: 163, 8: 323, 14: 18985, 16: 73869}
 POSET_VIOLATIONS = {1: 0, 2: 0, 3: 0, 4: 0, 5: 3, 6: 6, 7: 16, 8: 38, 14: 4236, 16: 18912}
+
+# (exit code, sha256 of stdout) of CLI commands whose bytes no benchmark pins
+CLI_SHA256 = {
+    "verify --all": (1, "8b83d92e0ba7fadf30e7b9cb7cd7d100ecff7ea0175d2af0cc07b3a05a0d2042"),
+    "poset rank --n 14": (0, "664572971b3db025d013cc8456b8bd0cb39132c6ffdf49ff853b8ba19e55c7b3"),
+    "poset rank --n 14 --format json": (0, "6ff0d98abe4c206fa6f5d5d2ccea4324907240afe3729edd2417e3c414ebc536"),
+    "poset mobius --n 6 --bottom 001000 --top 111000": (0, "298c4ef7cb94fc613c14f268302a3fa352225203baf72c7369a04c17f83e598c"),
+    "poset mobius --n 6 --bottom 001000 --top 111000 --format json": (0, "bd53c670017c1ad38e7d7b27da8e0dbbcd224302a825fadff3ed016306a44732"),
+    "poset intervals --n 7": (0, "bdc24c74ab986e369d4cd22427ac2536b13b07ab0c21c3fa2d70dcdcec853d86"),
+    "poset intervals --n 7 --format json": (0, "11305466ad5c61cf8d0cbe0055f121e885bf99c0b0f44fa8e0457d4c61d6a55f"),
+    "inv show --n 9": (0, "93985a4cc97d485fabf4dfad95a12cdbbf14214a389c41e5fe2f9801c9b6d523"),
+    "inv show --n 9 --format json": (0, "2b109f17db5286660d166cf2fcc42abff1ffc2ea413aba2a41db50bb9e154c97"),
+    "embed encode --word 0110": (0, "998890ef33791c6a7be36dc64260a568cf9ca10b832ad9e604878706642ea00c"),
+    "embed encode --word 0110 --format json": (0, "b9b9aac5498abcacabaf4fe31e9c119505e01780ac39d22de6bd38611266620b"),
+    "embed dilation --n 5": (0, "9a2a5606162b62701964e0859a419a28adbe469b20918c8bbc3e9d130fa350a4"),
+    "embed dilation --n 5 --format json": (0, "162b8d6d7173747e06c62320b412a1fec19bbf5c759acf4a1fe2cbcc578b7187"),
+    "embed host --max-n 8": (0, "1b35a1e66eeddebae76368bcbdc6f87cffc5465285745e82164cbac2e94d2a79"),
+    "embed host --max-n 8 --format json": (0, "686ed24e5d7f860ca2485b4290364efed584eeab701f997726a14b6d75019932"),
+}

@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from goldens import CLI_SHA256
 from runcube import cli, graph, poset, strings
 from runcube.polyseries import RationalGF, Ring
 
@@ -424,6 +425,13 @@ def test_poset_maximal_output_is_pinned(capsys, k, fmt):
     code, out, err = run(["poset", "maximal", "--n", str(k), "--format", fmt], capsys)
     assert (code, err) == (0, "")
     assert sha256(out) == POSET_MAXIMAL_SHA256[k][fmt == "json"]
+
+
+@pytest.mark.parametrize("argv", sorted(CLI_SHA256))
+def test_cli_output_is_pinned(capsys, argv):
+    code, out, err = run(argv.split(), capsys)
+    assert (code, err) == (CLI_SHA256[argv][0], "")
+    assert sha256(out) == CLI_SHA256[argv][1]
 
 
 @pytest.mark.parametrize("k", sorted(GRAPH_SHA256))

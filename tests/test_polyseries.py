@@ -46,6 +46,29 @@ def test_render_is_graded_lex():
     assert R2.zero().render() == "0"
 
 
+@pytest.mark.parametrize(
+    "ring, terms, text",
+    [
+        # unit coefficients drop their 1, a negative one its "+"
+        (R2, {(1, 0): 1, (0, 1): -1, (1, 1): -1, (2, 0): 1}, "-d + u - u*d + u^2"),
+        (R2, {(0, 0): -3, (1, 0): 2, (0, 1): -1}, "-3 - d + 2*u"),
+        (R2, {(2, 3): 5, (0, 2): -1, (4, 0): -7, (0, 0): 1}, "1 - d^2 - 7*u^4 + 5*u^2*d^3"),
+        (Ring(()), {(): -7}, "-7"),
+        (Ring(()), {(): 1}, "1"),
+        (Ring(()), {(): -1}, "-1"),
+        (Ring(()), {}, "0"),
+        (R2, {}, "0"),
+        (
+            Ring(("x",)),
+            {(1,): 2 ** 70, (2,): -(2 ** 65 + 1), (0,): -(2 ** 64)},
+            "-18446744073709551616 + 1180591620717411303424*x - 36893488147419103233*x^2",
+        ),
+    ],
+)
+def test_render_goldens(ring, terms, text):
+    assert ring.poly(terms).render() == text
+
+
 def test_substitute_and_evaluate():
     u = R2.var("u")
     d = R2.var("d")
