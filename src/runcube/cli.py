@@ -13,12 +13,13 @@ JSON output always carries "schema": 1 and is deterministic.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
-from operator import add
 
 from . import __version__, embedding, enumerators, graph, inversions, poset
 from .errors import RuncubeError
+from .polyseries import render_columns
 
 GF_KINDS = {
     "updown": enumerators.updown_gf,
@@ -93,23 +94,6 @@ def _json_terms(cols, coeffs):
     return "[%s]" % ", ".join(map(term.__mod__, zip(*cols, coeffs)))
 
 
-def _render(names, cols, coeffs):
-    """MultiPoly.render of graded_terms' columns."""
-    if not coeffs:
-        return "0"
-    # "*u", "*u^2", ... indexed by exponent, so "%d%s" % (c, monomial) reads
-    # "c*u*d^2", or "c" for the constant term; a unit coefficient drops its 1
-    monomials = [""] * len(coeffs)
-    for name, col in zip(names, cols):
-        factors = ["", "*" + name] + ["*%s^%d" % (name, e) for e in range(2, max(col) + 1)]
-        monomials = list(map(add, monomials, map(factors.__getitem__, col)))
-    pieces = list(map("%d%s".__mod__, zip(coeffs, monomials)))
-    for i, c in enumerate(coeffs):
-        if (c == 1 or c == -1) and monomials[i]:
-            pieces[i] = ("-" if c < 0 else "") + monomials[i][1:]
-    return " + ".join(pieces).replace("+ -", "- ")
-
-
 def cmd_gf(args):
     """Write each coefficient as the quotient recurrence yields it.
 
@@ -117,8 +101,9 @@ def cmd_gf(args):
     document is the one _emit_json would print, written in pieces: the
     header with an empty coefficient list, minus its closing "]}", then
     each [k, terms] pair, then the closing "]}".  Each coefficient comes
-    as graded_terms' columns and is formatted from them directly, as
-    json_terms and render would format its MultiPoly.
+    as graded_terms' columns and is formatted from them directly:
+    _json_terms writes what json_terms would, and render_columns is the
+    formatter of MultiPoly.render.
     """
     gf = GF_KINDS[args.kind]()
     rows = gf.graded_terms(args.order)
@@ -132,7 +117,7 @@ def cmd_gf(args):
         out.write("]}\n")
     else:
         for k, (cols, coeffs) in enumerate(rows):
-            out.write("t^%d: %s\n" % (k, _render(gf.ring.names, cols, coeffs)))
+            out.write("t^%d: %s\n" % (k, render_columns(gf.ring.names, cols, coeffs)))
     return 0
 
 
@@ -240,7 +225,7 @@ def cmd_embed(args):
             return 2
         res = embedding.encode(args.word)
         if args.format == "json":
-            _emit_json({"encoding": res.to_json_dict()})
+            _emit_json({"encoding": dataclasses.asdict(res)})
         else:
             print("source: %s" % res.source)
             print("image: %s" % res.image)
@@ -250,7 +235,7 @@ def cmd_embed(args):
     if args.action == "dilation":
         res = embedding.dilation(args.n, cap=args.vertex_cap)
         if args.format == "json":
-            _emit_json({"dilation": res.to_json_dict()})
+            _emit_json({"dilation": dataclasses.asdict(res)})
         else:
             print("n: %d" % res.n)
             print("host: R_%d" % res.host_dim)
@@ -259,7 +244,7 @@ def cmd_embed(args):
         return 0
     records = embedding.smallest_host_probe(args.max_n)
     if args.format == "json":
-        _emit_json({"hosts": [r.to_json_dict() for r in records]})
+        _emit_json({"hosts": [dataclasses.asdict(r) for r in records]})
     else:
         for r in records:
             print("Q_%d first appears in R_%d (conjectured %d)" % (r.n, r.smallest_host, r.conjectured))

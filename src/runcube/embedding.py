@@ -50,14 +50,6 @@ class EncodingResult:
     label: str
     host_dim: int
 
-    def to_json_dict(self):
-        return {
-            "source": self.source,
-            "image": self.image,
-            "label": self.label,
-            "host_dim": self.host_dim,
-        }
-
 
 def _runs(word):
     """Run-length pairs (char, length) from left to right."""
@@ -72,11 +64,9 @@ def _runs(word):
 
 def encode(word):
     """Map a binary word of length n to its vertex in R_(3n-1)."""
+    strings._check_binary(word)
     if not word:
         raise ValidationError("cannot encode the empty word")
-    for i, ch in enumerate(word):
-        if ch not in "01":
-            raise ValidationError("binary words only, found %r" % ch, position=i)
     n = len(word)
     runs = _runs(word)
     pieces = []
@@ -109,7 +99,7 @@ def encoding_check(n_max=5):
                 break
             try:
                 g.index_of(res.label)
-            except Exception:
+            except ValidationError:
                 ok = False
                 detail = "image of %s is not a vertex" % word
                 break
@@ -131,14 +121,6 @@ class DilationResult:
     host_dim: int
     dilation: int
     worst_edge: tuple
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "host_dim": self.host_dim,
-            "dilation": self.dilation,
-            "worst_edge": list(self.worst_edge),
-        }
 
 
 def dilation(n, cap=None):
@@ -243,13 +225,6 @@ class HostRecord:
     n: int
     smallest_host: int
     conjectured: int
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "smallest_host": self.smallest_host,
-            "conjectured": self.conjectured,
-        }
 
 
 def smallest_host_probe(n_max=8, order=None):

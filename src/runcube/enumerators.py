@@ -529,16 +529,6 @@ class PkProbe:
     observed_degree: int
     residual_zero: bool
 
-    def to_json_dict(self):
-        return {
-            "k": self.k,
-            "order": self.order,
-            "coefficients": self.coefficients,
-            "conjectured_bound": self.conjectured_bound,
-            "observed_degree": self.observed_degree,
-            "residual_zero": self.residual_zero,
-        }
-
 
 def conjecture_pk_probe(k, order=40):
     """Multiply the degree-k series by (1-t^2)^(k+1) and inspect the tail.

@@ -80,7 +80,7 @@ from .polyseries import _Layout
 from .strings import (
     _require_int64,
     fibonacci,
-    is_run_constrained,
+    mask_is_run_constrained,
     mask_to_word,
     rc_masks,
     word_to_mask,
@@ -101,24 +101,23 @@ def _words(masks, n):
 
 
 def _require_label(n, label):
-    """Normalize a label given as string or int, validating vertex-hood."""
+    """The label mask of a vertex of R_n given as a label string or an int mask.
+
+    Only ints and numpy integers are masks: a float, a bool or anything
+    else is refused rather than truncated.
+    """
     if isinstance(label, str):
         if len(label) != n:
             raise ValidationError(
                 "label %r has length %d, expected %d" % (label, len(label), n)
             )
         mask = word_to_mask(label)
-        word = label
     elif isinstance(label, bool) or not isinstance(label, (int, np.integer)):
         raise ValidationError("label %r is not a string or an integer mask" % (label,))
     else:
         mask = int(label)
-        try:
-            word = mask_to_word(mask, n)
-        except DomainError:
-            raise ValidationError("mask %d does not fit a length-%d label" % (mask, n))
-    if not is_run_constrained(word + "00"):
-        raise ValidationError("%s is not a vertex of R_%d" % (word, n))
+    if not 0 <= mask < 1 << n or not mask_is_run_constrained(mask << 2):
+        raise ValidationError("%s is not a vertex of R_%d" % (label, n))
     return mask
 
 

@@ -36,7 +36,8 @@ it; RationalGF.expand collects the stream into a series, and
 TruncatedSeries.divide_by runs the same recurrence on two coefficient
 lists.  RationalGF.graded_terms yields each coefficient straight from the
 decoded slots, as exponent columns and ints put in graded lex order by one
-numpy lexsort, which `runcube gf` formats without building a MultiPoly.
+numpy lexsort, which `runcube gf` formats without building a MultiPoly,
+by render_columns, the formatter MultiPoly.render calls too.
 Unpacking reads only the slots up to the highest nonzero one, adds
 2^(w-1) to each, reads their bytes once through numpy and converts the
 slots that differ from that bias in one pass.  Packing shifts by
@@ -199,6 +200,27 @@ def _map_monomials(terms, images, arity):
         else:
             del out[key]
     return out
+
+
+def render_columns(names, cols, coeffs):
+    """Text like `3 + 2*u*d + u^4` of the terms with exponents cols[i] of names[i].
+
+    The terms come in the order given: MultiPoly.render passes sorted_terms'
+    columns and `runcube gf` those of RationalGF.graded_terms.
+    """
+    if not coeffs:
+        return "0"
+    # "*u", "*u^2", ... indexed by exponent, so "%d%s" % (c, monomial) reads
+    # "c*u*d^2", or "c" for the constant term; a unit coefficient drops its 1
+    monomials = [""] * len(coeffs)
+    for name, col in zip(names, cols):
+        factors = ["", "*" + name] + ["*%s^%d" % (name, e) for e in range(2, max(col) + 1)]
+        monomials = list(map(add, monomials, map(factors.__getitem__, col)))
+    pieces = list(map("%d%s".__mod__, zip(coeffs, monomials)))
+    for i, c in enumerate(coeffs):
+        if (c == 1 or c == -1) and monomials[i]:
+            pieces[i] = ("-" if c < 0 else "") + monomials[i][1:]
+    return " + ".join(pieces).replace("+ -", "- ")
 
 
 class MultiPoly:
@@ -381,26 +403,9 @@ class MultiPoly:
 
     def render(self):
         """Deterministic text form like `3 + 2*u*d + u^4`."""
-        if not self.terms:
-            return "0"
-        pieces = []
-        for exps, c in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.ring.names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append("%s^%d" % (name, e))
-            if not factors:
-                pieces.append(str(c))
-            elif c == 1:
-                pieces.append("*".join(factors))
-            elif c == -1:
-                pieces.append("-" + "*".join(factors))
-            else:
-                pieces.append("%d*%s" % (c, "*".join(factors)))
-        text = " + ".join(pieces)
-        return text.replace("+ -", "- ")
+        terms = self.sorted_terms()
+        cols = list(zip(*(e for e, _ in terms)))
+        return render_columns(self.ring.names, cols, [c for _, c in terms])
 
     def json_terms(self):
         """JSON-safe term list: [[exponent vector, coefficient string], ...]."""

@@ -18,6 +18,8 @@ then checked against first-principles computation, because both fail:
 
 mobius() computes the published closed form; mobius_recursive() is the
 defining recursion and serves as the oracle in mobius_check().
+leq, interval, mobius and mobius_recursive take a vertex as a label
+string or an int label mask, parsed by `graph._require_label`.
 
 One reachability kernel, `_reach`, answers every question: transitive
 closure by bitset union in topological order (Purdom, BIT 1970;
@@ -142,8 +144,8 @@ def _box(n, u, v, cap=None):
     since any other flip leaves the box.
     """
     graph._vertex_total(n, cap)
-    a = _to_mask(n, u) >> 2
-    b = _to_mask(n, v) >> 2
+    a = graph._require_label(n, u)
+    b = graph._require_label(n, v)
     if a & ~b:
         return [], [], [], 0
     labels = graph.vertex_labels(n)
@@ -160,21 +162,6 @@ def _bits(x):
         low = x & -x
         yield low.bit_length() - 1
         x ^= low
-
-
-def _to_mask(n, vertex):
-    """Accept a label string or label mask; return the full-string mask."""
-    if isinstance(vertex, str):
-        if len(vertex) != n:
-            raise ValidationError(
-                "vertex label must have length %d, got %r" % (n, vertex)
-            )
-        mask = strings.word_to_mask(vertex + "00")
-    else:
-        mask = int(vertex) << 2
-    if not 0 <= mask < 1 << (n + 2) or not strings.mask_is_run_constrained(mask):
-        raise ValidationError("not a vertex of R_%d: %r" % (n, vertex))
-    return mask
 
 
 def _to_label(n, mask):

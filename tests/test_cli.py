@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from goldens import CLI_SHA256
 from runcube import cli, graph, poset, strings
-from runcube.polyseries import RationalGF, Ring
+from runcube.polyseries import RationalGF, Ring, render_columns
 
 
 def run(args, capsys):
@@ -205,7 +205,7 @@ def test_gf_writer_formats_what_json_terms_and_render_give(case):
     assert [cli._json_terms(*row) for row in rows] == [
         json.dumps(c.json_terms(), separators=(", ", ": ")) for c in want
     ]
-    assert [cli._render(gf.ring.names, *row) for row in rows] == [c.render() for c in want]
+    assert [render_columns(gf.ring.names, *row) for row in rows] == [c.render() for c in want]
     # the whole command, written piece by piece, is the whole document
     with mock.patch.dict(cli.GF_KINDS, {"updown": lambda: gf}):
         for fmt in ("json", "text"):
@@ -524,6 +524,20 @@ def test_poset_bad_vertex_is_usage_error(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed", "encode", "--word", "012"],
+        ["poset", "mobius", "--n", "4", "--bottom", "10", "--top", "1000"],
+    ],
+)
+def test_bad_vertex_or_word_exits_2_without_a_traceback(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -34,6 +34,30 @@ def test_encode_rejects_junk():
         emb.encode("01a")
 
 
+@pytest.mark.parametrize("word", [5, None, ["0", "1"]], ids=repr)
+def test_encode_rejects_non_strings(word):
+    with pytest.raises(ValidationError):
+        emb.encode(word)
+
+
+def test_encoding_check_reports_only_refused_labels(monkeypatch):
+    def refuse(self, label):
+        raise ValidationError("label not found in R_%d" % self.n)
+
+    monkeypatch.setattr(graph.FibRunGraph, "index_of", refuse)
+    report = emb.encoding_check(n_max=1)
+    assert not report.ok
+    assert "image of 0 is not a vertex" in "\n".join(report.failures)
+
+    def broken(self, label):
+        raise RuntimeError("bug in index_of")
+
+    # any other exception is a bug, not a verdict on the encoder
+    monkeypatch.setattr(graph.FibRunGraph, "index_of", broken)
+    with pytest.raises(RuntimeError):
+        emb.encoding_check(n_max=1)
+
+
 def test_dilation_frozen_values():
     for n, want in emb.DILATION_PREFIX.items():
         assert emb.dilation(n).dilation == want

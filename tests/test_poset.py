@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from goldens import POSET_PAIRS, POSET_VIOLATIONS
@@ -122,6 +123,28 @@ def test_leq_rejects_non_vertices():
         poset.leq(4, "0011", "0011")
     with pytest.raises(ValidationError):
         poset.leq(4, "000", "0000")
+    for bad in (-1, 1 << 4, 0b0011):
+        with pytest.raises(ValidationError):
+            poset.leq(4, bad, 0b1000)
+
+
+PAIR_QUERIES = [poset.leq, poset.interval, poset.mobius, poset.mobius_recursive]
+
+
+@pytest.mark.parametrize("query", PAIR_QUERIES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad", [0.5, np.float64(2.0), True, None], ids=repr)
+def test_pair_queries_refuse_non_integer_vertices(query, bad):
+    # a float or a bool is refused, not truncated to a mask
+    with pytest.raises(ValidationError):
+        query(4, bad, "1000")
+    with pytest.raises(ValidationError):
+        query(4, "0000", bad)
+
+
+@pytest.mark.parametrize("query", PAIR_QUERIES, ids=lambda f: f.__name__)
+def test_pair_queries_take_numpy_integer_masks(query):
+    assert query(5, np.int64(0b00100), np.int64(0b11100)) == query(5, "00100", "11100")
+    assert query(5, np.int32(0), 0b11000) == query(5, "00000", "11000")
 
 
 def test_minimal_interval_counterexample():
