@@ -277,7 +277,7 @@ def build_parser():
 
     p = sub.add_parser("gf", help="expand a closed-form generating function")
     p.add_argument("--kind", choices=sorted(GF_KINDS), required=True)
-    p.add_argument("--order", type=_nonnegative, default=None)
+    p.add_argument("--order", type=_nonnegative, default=12)
     _add_format(p)
     p.set_defaults(func=cmd_gf)
 
@@ -321,8 +321,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "gf" and args.order is None:
-        args.order = 12
     if args.command == "inv" and args.action == "show" and args.n is None:
         parser.error("inv needs --n")
     if args.command == "embed" and args.action == "dilation" and args.n is None:

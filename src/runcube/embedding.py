@@ -185,30 +185,22 @@ def cube_gf_check(order=24, brute_max=10):
     """Cube-count GF vs brute interval counts, vertices, and edges."""
     report = Report("induced-cube counts")
     series = cube_gf().expand(order)
-    for n in range(1, min(brute_max, order) + 1):
-        brute = graph.count_induced_cubes(n)
-        poly = series.coefficient(n)
-        got = [poly.coefficient("x", k).constant_term() for k in range(len(brute))]
-        if got != brute or poly.degree("x") >= len(brute):
-            report.add(
-                "GF matches brute cube counts through n=%d" % min(brute_max, order),
-                False,
-                "mismatch at n=%d: %s vs %s" % (n, got, brute),
-            )
-            break
-    else:
-        report.add(
-            "GF matches brute cube counts through n=%d" % min(brute_max, order), True
-        )
-    ok = True
-    for n in range(1, order + 1):
-        poly = series.coefficient(n)
-        if poly.coefficient("x", 0).constant_term() != strings.fibonacci(n + 2):
-            report.add("x^0 coefficients count vertices", False, "fails at n=%d" % n)
-            ok = False
-            break
-    if ok:
-        report.add("x^0 coefficients count vertices", True)
+    top = min(brute_max, order)
+    report.expect_series(
+        "GF matches brute cube counts through n=%d" % top,
+        series.coeffs[1 : top + 1],
+        [
+            CUBE_RING.poly({(k,): h for k, h in enumerate(graph.count_induced_cubes(n))})
+            for n in range(1, top + 1)
+        ],
+        start=1,
+    )
+    report.expect_series(
+        "x^0 coefficients count vertices",
+        [poly.coefficient("x", 0).constant_term() for poly in series.coeffs[1:]],
+        [strings.fibonacci(n + 2) for n in range(1, order + 1)],
+        start=1,
+    )
     edges = [
         series.coefficient(n).coefficient("x", 1).constant_term()
         for n in range(1, min(order, 13) + 1)
@@ -270,15 +262,16 @@ def host_check(n_max=8, brute_max=4):
             if r.smallest_host != r.conjectured
         ),
     )
+    # brute cube counts of R_1 .. R_m(brute_max), one count per graph
+    last = SMALLEST_HOST_PREFIX.get(brute_max, 0)
+    cubes = [graph.count_induced_cubes(m) for m in range(1, last + 1)]
     for n in range(1, brute_max + 1):
         m = SMALLEST_HOST_PREFIX[n]
-        below = all(
-            len(graph.count_induced_cubes(mm)) <= n
-            or graph.count_induced_cubes(mm)[n] == 0
-            for mm in range(1, m)
+        # whether R_1 .. R_m hold an induced Q_n: only R_m may
+        hosts = [len(h) > n and h[n] > 0 for h in cubes[:m]]
+        report.add(
+            "brute confirmation of m(%d) = %d" % (n, m), hosts == [False] * (m - 1) + [True]
         )
-        at = len(graph.count_induced_cubes(m)) > n and graph.count_induced_cubes(m)[n] > 0
-        report.add("brute confirmation of m(%d) = %d" % (n, m), below and at)
     return report
 
 

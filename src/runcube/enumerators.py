@@ -23,7 +23,6 @@ kept available for the regression test that documents the discrepancy.
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from . import graph, strings
@@ -183,6 +182,9 @@ def degree_polynomial(n, cap=None):
 
 def census_check(n_max=16, cap=None):
     """Closed forms vs. streamed censuses for 1 <= n <= n_max."""
+    # the largest census is refused before any other runs
+    if n_max >= 1:
+        graph._vertex_total(n_max, cap, streaming=True)
     report = Report("closed forms vs census")
     closed = gf_updown_closed(n_max)
     closed_degree = gf_degree_closed(n_max)
@@ -316,26 +318,15 @@ def case_assembly_check(order=30, max_len=16):
     report = Report("five-case assembly")
     assembly = assemble_case_gfs(order)
     upto = min(max_len, order)
-    censuses = [case_census_polynomials(m) for m in range(upto + 1)]
-    for tag in ("A", "B", "C", "D", "E"):
-        series = assembly.cases[tag]
-        bad = None
-        for m in range(1, upto + 1):
-            if series.coefficient(m) != censuses[m][tag]:
-                bad = (m, series.coefficient(m), censuses[m][tag])
-                break
-        report.add(
+    censuses = [case_census_polynomials(m) for m in range(1, upto + 1)]
+    series = {**assembly.cases, **{"E/" + sub: part for sub, part in assembly.e_parts.items()}}
+    for tag in ("A", "B", "C", "D", "E", "E/zero", "E/single", "E/block"):
+        report.expect_series(
             "case %s series = census through length %d" % (tag, upto),
-            bad is None,
-            "" if bad is None else "first mismatch at t^%d: %s vs %s"
-            % (bad[0], bad[1].render(), bad[2].render()),
+            series[tag].coeffs[1 : upto + 1],
+            [census[tag] for census in censuses],
+            start=1,
         )
-    for sub in ("zero", "single", "block"):
-        series = assembly.e_parts[sub]
-        ok = all(
-            series.coefficient(m) == censuses[m]["E/" + sub] for m in range(1, upto + 1)
-        )
-        report.add("case E/%s series = census through length %d" % (sub, upto), ok)
     report.add("E parts sum to printed combined form", assembly.cases["E"] == combined_e_gf(order))
     total = [sum(cs) for cs in zip(*(assembly.cases[t].coeffs for t in "ABCDE"))]
     report.add("GFX equals sum of case series", assembly.gfx.coeffs == total)
@@ -439,16 +430,13 @@ def edge_gf_check(order=40, brute_max=12):
         down,
         edge_derivative_gf().expand(order).coeffs,
     )
-    for n in range(5, min(order, 30) + 1):
-        if graph.closed_form_edge_count(n) != edges[n]:
-            report.add(
-                "closed-form edge count through n=%d" % min(order, 30),
-                False,
-                "mismatch at n=%d" % n,
-            )
-            break
-    else:
-        report.add("closed-form edge count through n=%d" % min(order, 30), True)
+    top = min(order, 30)
+    report.expect_series(
+        "closed-form edge count through n=%d" % top,
+        [graph.closed_form_edge_count(n) for n in range(5, top + 1)],
+        edges[5 : top + 1],
+        start=5,
+    )
     brute = [0] + [graph.edge_count(n) for n in range(1, min(brute_max, order) + 1)]
     report.expect_equal(
         "census edge counts through n=%d" % min(brute_max, order),
@@ -477,25 +465,21 @@ DEGREE_K_PREFIXES = {
 }
 
 
-def _degree_k_law(k, n):
-    """The eventual piecewise-linear count of degree-k vertices, or None."""
-    odd = n % 2 == 1
-    if k == 2 and n >= 8:
-        return 2
-    if k == 3 and n >= 11:
-        return 10 if odd else 8
-    if k == 4 and n >= 15:
-        return 2 * n + 9 if odd else 3 * n // 2 + 21
-    if k == 5 and n >= 18:
-        return 9 * n - 1 if odd else 12 * n - 48
-    return None
+# k: (n0, law), the eventual piecewise-linear count law(n) of the degree-k
+# vertices of R_n for n >= n0
+DEGREE_K_LAWS = {
+    2: (8, lambda n: 2),
+    3: (11, lambda n: 10 if n % 2 else 8),
+    4: (15, lambda n: 2 * n + 9 if n % 2 else 3 * n // 2 + 21),
+    5: (18, lambda n: 9 * n - 1 if n % 2 else 12 * n - 48),
+}
 
 
 def degree_k_law_check(order=40):
     """Printed prefixes and eventual laws for the degree-k counts."""
     report = Report("degree-k counts")
     series = gf_degree_closed(order)
-    for k in (2, 3, 4, 5):
+    for k, (n0, law) in DEGREE_K_LAWS.items():
         seq = _degree_k_counts(series, k)
         if k in DEGREE_K_PREFIXES:
             start, prefix = DEGREE_K_PREFIXES[k]
@@ -504,16 +488,11 @@ def degree_k_law_check(order=40):
                 seq[start : start + len(prefix)],
                 prefix,
             )
-        bad = None
-        for n in range(order + 1):
-            want = _degree_k_law(k, n)
-            if want is not None and seq[n] != want:
-                bad = (n, seq[n], want)
-                break
-        report.add(
+        report.expect_series(
             "degree-%d law through n=%d" % (k, order),
-            bad is None,
-            "" if bad is None else "n=%d: got %d, want %d" % bad,
+            seq[n0:],
+            [law(n) for n in range(n0, order + 1)],
+            start=n0,
         )
     return report
 
@@ -571,25 +550,18 @@ def recurrence_check(n_max=40):
     report = Report("degree polynomial recurrence")
     g = gf_degree_closed(n_max).coeffs
     x = DEGREE_RING.var("x")
-    for n in range(12, n_max + 1):
-        rhs = (
-            x * g[n - 1]
-            + 2 * g[n - 2]
-            - x * g[n - 3]
-            - g[n - 4]
-            + x * (x - 1) * g[n - 5]
-            - x * (x * x - 1) * g[n - 7]
-            - 2 * x * x * (x - 1) ** 2 * g[n - 9]
-            - x * x * (x - 1) ** 3 * g[n - 11]
-        )
-        if g[n] != rhs:
-            report.add(
-                "recurrence for 12 <= n <= %d" % n_max,
-                False,
-                "fails at n=%d" % n,
-            )
-            return report
-    report.add("recurrence for 12 <= n <= %d" % n_max, True)
+    rhs = [
+        x * g[n - 1]
+        + 2 * g[n - 2]
+        - x * g[n - 3]
+        - g[n - 4]
+        + x * (x - 1) * g[n - 5]
+        - x * (x * x - 1) * g[n - 7]
+        - 2 * x * x * (x - 1) ** 2 * g[n - 9]
+        - x * x * (x - 1) ** 3 * g[n - 11]
+        for n in range(12, n_max + 1)
+    ]
+    report.expect_series("recurrence for 12 <= n <= %d" % n_max, g[12:], rhs, start=12)
     return report
 
 

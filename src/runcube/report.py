@@ -18,12 +18,13 @@ class Report:
             return self.add(label, True)
         return self.add(label, False, "got %s, want %s" % (_short(got), _short(want)))
 
-    def expect_series(self, label, got, want):
+    def expect_series(self, label, got, want, start=0):
         """Record whether two coefficient lists agree over their common length.
 
-        On failure the detail names the first power of t whose coefficients differ.
+        got[k] and want[k] are the coefficients of t^(start + k).  On failure
+        the detail names the first power of t whose coefficients differ.
         """
-        diff = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        diff = next((k for k, (a, b) in enumerate(zip(got, want), start) if a != b), None)
         return self.add(
             label, diff is None, "" if diff is None else "first difference at t^%d" % diff
         )

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from goldens import CLI_SHA256
-from runcube import cli, graph, poset, strings
+from runcube import cli, graph, inversions, poset, strings
 from runcube.polyseries import RationalGF, Ring, render_columns
 
 
@@ -538,6 +538,32 @@ def test_bad_vertex_or_word_exits_2_without_a_traceback(capsys, argv):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, err",
+    [
+        (
+            ["poset", "rank", "--n", "100000"],
+            poset,
+            "comb",
+            "error: rank polynomial of R_100000 refused, n is capped at 5000\n",
+        ),
+        (
+            ["inv", "verify", "--max", "40"],
+            inversions,
+            "q_polynomial",
+            "error: length 40 needs 102334155 strings, over the cap 2000000\n",
+        ),
+    ],
+    ids=["poset_rank", "inv_verify"],
+)
+def test_oversized_inputs_exit_2_before_any_work(monkeypatch, capsys, argv, module, name, err):
+    def refuse(*args, **kwargs):
+        raise AssertionError("%s ran" % name)
+
+    monkeypatch.setattr(module, name, refuse)
+    assert run(argv, capsys) == (2, "", err)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import pytest
 from runcube import embedding as emb
 from runcube import graph, strings
 from runcube.errors import ValidationError
+from runcube.polyseries import RationalGF
 
 
 def test_printed_n3_table_bit_exact():
@@ -94,6 +95,39 @@ def test_cube_gf_matches_brute_interval_counts():
         got = [poly.coefficient("x", k).constant_term() for k in range(len(brute))]
         assert got == brute
         assert poly.degree("x") < len(brute)
+
+
+@pytest.mark.parametrize(
+    "owner, name, mutant, line",
+    [
+        (
+            graph,
+            "count_induced_cubes",
+            lambda n, real=graph.count_induced_cubes: [
+                h + (n == 6 and k == 1) for k, h in enumerate(real(n))
+            ],
+            "FAIL GF matches brute cube counts through n=8: first difference at t^6",
+        ),
+        (
+            emb,
+            "cube_gf",
+            lambda real=emb.cube_gf: real() + RationalGF(emb.CUBE_RING, {9: 1}),
+            "FAIL x^0 coefficients count vertices: first difference at t^9",
+        ),
+    ],
+    ids=["brute_counts", "vertices"],
+)
+def test_cube_checks_name_the_first_wrong_power(monkeypatch, owner, name, mutant, line):
+    monkeypatch.setattr(owner, name, mutant)
+    assert emb.cube_gf_check(order=16, brute_max=8).failures == [line]
+
+
+def test_host_check_counts_each_graph_once(monkeypatch):
+    calls = []
+    real = graph.count_induced_cubes
+    monkeypatch.setattr(graph, "count_induced_cubes", lambda n: calls.append(n) or real(n))
+    assert emb.host_check(brute_max=4).ok
+    assert calls == list(range(1, emb.SMALLEST_HOST_PREFIX[4] + 1))
 
 
 def test_smallest_hosts():

@@ -1,8 +1,8 @@
 import pytest
 
 from goldens import G_PRINTED, R4_DEGREE, R4_DOWN, R4_UP, UPDOWN_PRINTED
-from runcube import enumerators as en, inversions
-from runcube.errors import DomainError
+from runcube import enumerators as en, graph, inversions
+from runcube.errors import DomainError, ResourceLimitError
 from runcube.polyseries import RationalGF
 
 
@@ -243,6 +243,19 @@ def _with_term(make, k, c):
     return lambda: wrong
 
 
+def _census_with_term(tag, m):
+    """case_census_polynomials with d added to `tag`'s census of length m only."""
+    real = en.case_census_polynomials
+
+    def census(length):
+        tags = real(length)
+        if length == m:
+            tags[tag] = tags[tag] + en.UD.var("d")
+        return tags
+
+    return census
+
+
 @pytest.mark.parametrize(
     "check, name, mutant, line",
     [
@@ -282,9 +295,62 @@ def _with_term(make, k, c):
             _with_term(en.edge_derivative_gf, 7, en.UD.var("d")),
             "FAIL printed derivative form matches d/dd of down GF: first difference at t^7",
         ),
+        (
+            lambda: en.case_assembly_check(order=12, max_len=8),
+            "case_census_polynomials",
+            _census_with_term("C", 6),
+            "FAIL case C series = census through length 8: first difference at t^6",
+        ),
+        (
+            lambda: en.case_assembly_check(order=12, max_len=8),
+            "case_census_polynomials",
+            _census_with_term("E/single", 5),
+            "FAIL case E/single series = census through length 8: first difference at t^5",
+        ),
+        (
+            lambda: en.edge_gf_check(order=16),
+            "graph.closed_form_edge_count",
+            lambda n, real=graph.closed_form_edge_count: real(n) + (n == 9),
+            "FAIL closed-form edge count through n=16: first difference at t^9",
+        ),
+        (
+            lambda: en.degree_k_law_check(order=30),
+            "degree_gf",
+            _with_term(en.degree_gf, 20, en.DEGREE_RING.var("x") ** 2),
+            "FAIL degree-2 law through n=30: first difference at t^20",
+        ),
+        (
+            lambda: en.recurrence_check(n_max=30),
+            "degree_gf",
+            _with_term(en.degree_gf, 20, en.DEGREE_RING.var("x")),
+            "FAIL recurrence for 12 <= n <= 30: first difference at t^20",
+        ),
     ],
-    ids=["assembly", "u=1", "d=1", "u,d=x", "u=0,d=1", "edge_derivative"],
+    ids=[
+        "assembly",
+        "u=1",
+        "d=1",
+        "u,d=x",
+        "u=0,d=1",
+        "edge_derivative",
+        "case_C",
+        "case_E_single",
+        "edge_closed_form",
+        "degree_2_law",
+        "recurrence",
+    ],
 )
 def test_series_checks_name_the_first_wrong_power(monkeypatch, check, name, mutant, line):
-    monkeypatch.setattr(en, name, mutant)
+    # a dotted name patches a module enumerators imports, e.g. graph
+    owner, _, attr = name.rpartition(".")
+    monkeypatch.setattr(getattr(en, owner) if owner else en, attr, mutant)
     assert check().failures == [line]
+
+
+def test_census_check_refuses_before_the_first_census(monkeypatch):
+    calls = []
+    monkeypatch.setattr(graph, "degree_census", lambda n, cap=None: calls.append(n))
+    # R_12 has 377 vertices; R_1 .. R_9 fit a cap of 100
+    with pytest.raises(ResourceLimitError, match="R_12 has 377 vertices"):
+        en.census_check(n_max=12, cap=100)
+    assert calls == []

@@ -59,7 +59,24 @@ def test_q1_specialization_checks_n_zero(monkeypatch, order):
     real = poset.rank_polynomial
     monkeypatch.setattr(poset, "rank_polynomial", lambda n: real(n) + 1 if n == 0 else real(n))
     rep = inv.q1_specialization_check(order=order)
-    assert "FAIL Q_(n+2) at q = 1 is the rank polynomial of R_n: mismatch at n=0" in rep.failures
+    assert "FAIL Q_(n+2) at q = 1 is the rank polynomial of R_n: first difference at t^0" in rep.failures
+
+
+def test_q1_rank_comparison_names_the_first_wrong_n(monkeypatch):
+    real = poset.rank_polynomial
+    monkeypatch.setattr(poset, "rank_polynomial", lambda n: real(n) + 1 if n >= 5 else real(n))
+    assert inv.q1_specialization_check(order=12).failures == [
+        "FAIL Q_(n+2) at q = 1 is the rank polynomial of R_n: first difference at t^5"
+    ]
+
+
+def test_recurrence_check_refuses_before_the_first_enumeration(monkeypatch):
+    calls = []
+    monkeypatch.setattr(inv, "q_polynomial", lambda n, cap=None: calls.append(n))
+    # Q_10 needs f_10 = 55 strings; Q_0 .. Q_8 fit a cap of 30
+    with pytest.raises(ResourceLimitError, match="length 10 needs 55 strings"):
+        inv.recurrence_check(n_max=10, cap=30)
+    assert calls == []
 
 
 def test_q1_counts_by_weight():

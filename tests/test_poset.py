@@ -4,6 +4,7 @@ import pytest
 from goldens import POSET_PAIRS, POSET_VIOLATIONS
 from runcube import graph, poset, strings
 from runcube.errors import ResourceLimitError, ValidationError
+from runcube.polyseries import RationalGF
 
 
 # The brute oracle: the per-pair closures that answered the poset before the
@@ -214,6 +215,43 @@ def test_maximal_tables_verbatim():
 def test_rank_and_maximal_reports():
     assert poset.rank_check(n_max=10).ok
     assert poset.maximal_gf_check(order=24, brute_max=14).ok
+
+
+@pytest.mark.parametrize(
+    "check, owner, name, mutant, line",
+    [
+        (
+            lambda: poset.rank_check(n_max=8),
+            poset,
+            "rank_gf",
+            lambda real=poset.rank_gf: real() + RationalGF(poset.X_RING, {5: poset.X_RING.var("x")}),
+            "FAIL GF matches binomial formula through t^8: first difference at t^5",
+        ),
+        (
+            lambda: poset.maximal_gf_check(brute_max=10),
+            graph,
+            "_maximal_by_flip_scan",
+            lambda n, real=graph._maximal_by_flip_scan: real(n)[: -1 if n == 7 else None],
+            "FAIL GF counts maximal vertices through n=10: first difference at t^7",
+        ),
+    ],
+    ids=["rank_gf", "maximal_brute"],
+)
+def test_series_checks_name_the_first_wrong_power(monkeypatch, check, owner, name, mutant, line):
+    monkeypatch.setattr(owner, name, mutant)
+    assert check().failures == [line]
+
+
+def test_rank_polynomial_refuses_an_oversized_n_before_any_binomial(monkeypatch):
+    monkeypatch.setattr(poset, "RANK_MAX_N", 6)
+    assert poset.rank_polynomial(6).render() == "1 + 6*x + 10*x^2 + 4*x^3"
+
+    def refuse(*args):
+        raise AssertionError("a binomial was computed")
+
+    monkeypatch.setattr(poset, "comb", refuse)
+    with pytest.raises(ResourceLimitError, match="R_7 refused, n is capped at 6"):
+        poset.rank_polynomial(7)
 
 
 def test_interval_and_mobius_reports_fail_honestly():

@@ -18,3 +18,11 @@ def test_expect_series_compares_over_the_common_length():
     ]
     detail = {"label": "differs", "ok": False, "detail": "first difference at t^2"}
     assert rep.to_json()["checks"][1] == detail
+
+
+def test_expect_series_counts_powers_from_start():
+    x = R.var("x")
+    rep = Report("series")
+    assert not rep.expect_series("from t^5", [R.one(), x, x], [R.one(), x, 2 * x], start=5)
+    assert rep.expect_series("from t^12", [x], [x], start=12)
+    assert rep.lines() == ["FAIL from t^5: first difference at t^7", "PASS from t^12"]
