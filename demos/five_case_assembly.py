@@ -28,7 +28,7 @@ ORDER = 20
 assembly = en.assemble_case_gfs(ORDER)
 print("Series built per case, u^j d^k t^n coefficients at n = 8:")
 for tag in "ABCDE":
-    poly = assembly.cases[tag].coefficient(8)
+    poly = assembly.cases[tag][8]
     print("  GF_%s: %s" % (tag, poly.render()))
 
 print()
@@ -36,7 +36,7 @@ print("Census of length-8 strings split the same way:")
 census = en.case_census_polynomials(8)
 for tag in "ABCDE":
     print("  %s: %s" % (tag, census[tag].render()))
-    assert census[tag] == assembly.cases[tag].coefficient(8)
+    assert census[tag] == assembly.cases[tag][8]
 
 print()
 print("The E case further splits into empty, one-letter, and one-block parts:")
@@ -46,7 +46,7 @@ for sub in ("E/zero", "E/single", "E/block"):
 print()
 print("Summing the five cases and shifting by t^2 recovers the closed form:")
 closed = en.gf_updown_closed(ORDER)
-diff = next((k for k, (a, b) in enumerate(zip(assembly.gf, closed.coeffs)) if a != b), None)
+diff = next((k for k, (a, b) in enumerate(zip(assembly.gf, closed)) if a != b), None)
 print("  first difference through t^%d: %s" % (ORDER, diff))
 
 print()

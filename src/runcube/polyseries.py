@@ -4,14 +4,13 @@ Polynomials live over a small registry of named variables (a Ring) and keep
 integer coefficients in a dict keyed by exponent vectors, so no precision is
 ever lost.  RationalGF holds a rational generating function whose
 denominator has constant term 1, multiplies and adds such functions
-exactly, and expands one by the division recurrence.  An expanded series
-is a TruncatedSeries: a ring, a truncation order and the list `coeffs` of
-the MultiPoly coefficients of t^0 .. t^order.  Callers specialize,
-differentiate and compare expansions with plain comprehensions over that
-list; a TruncatedSeries itself only multiplies by a scalar, divides by a
-series whose constant term is 1 and forms the geometric inverse
-1/(1 - s).  over_t2 takes known low terms off a coefficient list and
-divides it by t^2.
+exactly, and expands one by the division recurrence.  An expansion is a
+plain list: the MultiPoly coefficients of t^0 .. t^order, which callers
+index, specialize, differentiate and compare with comprehensions.
+over_t2 takes known low terms off such a list and divides it by t^2.
+TruncatedSeries is only the same quotient on two coefficient lists
+(divide_by, and 1/(1 - s) as compose_geometric), kept because
+bench/tracer.py wraps its methods; nothing outside this module uses it.
 
 Series division and the geometric inverse run on Kronecker-packed bigints
 (Kronecker substitution; D. Harvey, J. Symbolic Comput. 44 (2009)).  Each
@@ -32,9 +31,8 @@ order 100, 9-byte slots where a bound on the 1-norms asks for 17).
 The recurrence is a stream: it yields the coefficient of t^k as soon as it
 has computed it and keeps only the packed coefficients later steps read,
 so RationalGF.coefficients lets a caller write each coefficient and drop
-it; RationalGF.expand collects the stream into a series, and
-TruncatedSeries.divide_by runs the same recurrence on two coefficient
-lists.  RationalGF.graded_terms yields each coefficient straight from the
+it, and RationalGF.expand collects the stream into a list.
+RationalGF.graded_terms yields each coefficient straight from the
 decoded slots, as exponent columns and ints put in graded lex order by one
 numpy lexsort, which `runcube gf` formats without building a MultiPoly,
 by render_columns, the formatter MultiPoly.render calls too.
@@ -546,11 +544,13 @@ class _Layout:
 
 
 class TruncatedSeries:
-    """An expanded series: `ring`, `order` and the MultiPoly list `coeffs` of t^0 .. t^order.
+    """The quotient recurrence on coefficient lists: `ring`, `order` and `coeffs`, t^0 .. t^order.
 
-    Callers read and transform `coeffs` directly.  The series itself only
-    multiplies by a scalar, divides by a series whose constant term is 1
-    and forms 1/(1 - s), all truncated at its order.
+    Expansions are plain lists (RationalGF.expand); this class remains only
+    as the list-based form of the quotient, because bench/tracer.py wraps
+    __mul__, divide_by and compose_geometric.  It multiplies by a
+    scalar, divides by a series whose constant term is 1 and forms
+    1/(1 - s), all truncated at its order.
     """
 
     __slots__ = ("ring", "order", "coeffs")
@@ -578,20 +578,6 @@ class TruncatedSeries:
         self.order = order
         self.coeffs = coeffs
         return self
-
-    def coefficient(self, k):
-        if k < 0 or k > self.order:
-            raise DomainError("coefficient index %d outside truncation order %d" % (k, self.order))
-        return self.coeffs[k]
-
-    def integer_coefficients(self):
-        """Coefficient list as plain ints; requires constant coefficients."""
-        out = []
-        for k, c in enumerate(self.coeffs):
-            if c.degree() > 0:
-                raise DomainError("coefficient of t^%d is not constant: %s" % (k, c.render()))
-            out.append(c.constant_term())
-        return out
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -629,23 +615,6 @@ class TruncatedSeries:
         one = self.ring.one()
         den = TruncatedSeries._trusted(self.ring, [one] + [-c for c in self.coeffs[1:]], self.order)
         return TruncatedSeries(self.ring, [one], self.order).divide_by(den)
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        shown = []
-        for k, c in enumerate(self.coeffs):
-            if c and len(shown) < 6:
-                shown.append("(%s)*t^%d" % (c.render(), k))
-        body = " + ".join(shown) if shown else "0"
-        return "TruncatedSeries(%s + O(t^%d))" % (body, self.order + 1)
 
 
 def over_t2(coeffs, low):
@@ -964,7 +933,8 @@ class RationalGF:
         return (_graded(layout.exponents(live), coeffs) for live, coeffs in stream)
 
     def expand(self, order):
-        return TruncatedSeries._trusted(self.ring, list(self.coefficients(order)), order)
+        """The list of MultiPoly coefficients of t^0 .. t^order."""
+        return list(self.coefficients(order))
 
     def __repr__(self):
         def side(table):

@@ -357,7 +357,7 @@ def rank_check(n_max=14):
         report.expect_equal("rank polynomial of R_%d vs census" % n, poly, census)
     report.expect_series(
         "GF matches binomial formula through t^%d" % n_max,
-        rank_gf().expand(n_max).coeffs[1:],
+        rank_gf().expand(n_max)[1:],
         binomial,
         start=1,
     )
@@ -371,7 +371,10 @@ def rank_check(n_max=14):
 def maximal_gf_check(order=30, brute_max=20):
     """Maximal-vertex counts: GF vs brute force vs printed tables."""
     report = Report("maximal vertices")
-    counts = enumerators.maximal_gf().expand(order).integer_coefficients()
+    # the printed prefix is checked in full even when `order` is shorter
+    prefix = enumerators.MAXIMAL_PREFIX
+    series = enumerators.maximal_gf().expand(max(order, len(prefix)))
+    counts = [c.constant_term() for c in series]
     top = min(brute_max, order)
     report.expect_series(
         "GF counts maximal vertices through n=%d" % top,
@@ -382,8 +385,7 @@ def maximal_gf_check(order=30, brute_max=20):
     for n, table in sorted(MAXIMAL_TABLES.items()):
         got = [label + "00" for label in graph.maximal_vertices(n)]
         report.expect_equal("maximal vertices of R_%d" % n, got, sorted(table))
-    prefix = counts[1 : len(enumerators.MAXIMAL_PREFIX) + 1]
-    report.expect_equal("printed count prefix", prefix, enumerators.MAXIMAL_PREFIX)
+    report.expect_series("printed count prefix", counts[1:], prefix, start=1)
     return report
 
 

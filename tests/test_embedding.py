@@ -2,7 +2,7 @@ import pytest
 
 from runcube import embedding as emb
 from runcube import graph, strings
-from runcube.errors import ValidationError
+from runcube.errors import RuncubeError, ValidationError
 from runcube.polyseries import RationalGF
 
 
@@ -91,7 +91,7 @@ def test_cube_gf_matches_brute_interval_counts():
     series = emb.cube_gf().expand(10)
     for n in range(1, 11):
         brute = graph.count_induced_cubes(n)
-        poly = series.coefficient(n)
+        poly = series[n]
         got = [poly.coefficient("x", k).constant_term() for k in range(len(brute))]
         assert got == brute
         assert poly.degree("x") < len(brute)
@@ -114,8 +114,14 @@ def test_cube_gf_matches_brute_interval_counts():
             lambda real=emb.cube_gf: real() + RationalGF(emb.CUBE_RING, {9: 1}),
             "FAIL x^0 coefficients count vertices: first difference at t^9",
         ),
+        (
+            graph,
+            "edge_count",
+            lambda n, real=graph.edge_count: real(n) + (n == 7),
+            "FAIL x^1 coefficients count edges: first difference at t^7",
+        ),
     ],
-    ids=["brute_counts", "vertices"],
+    ids=["brute_counts", "vertices", "edges"],
 )
 def test_cube_checks_name_the_first_wrong_power(monkeypatch, owner, name, mutant, line):
     monkeypatch.setattr(owner, name, mutant)
@@ -128,6 +134,16 @@ def test_host_check_counts_each_graph_once(monkeypatch):
     monkeypatch.setattr(graph, "count_induced_cubes", lambda n: calls.append(n) or real(n))
     assert emb.host_check(brute_max=4).ok
     assert calls == list(range(1, emb.SMALLEST_HOST_PREFIX[4] + 1))
+
+
+def test_host_check_refuses_a_brute_max_past_its_table(monkeypatch):
+    def refuse(n):
+        raise AssertionError("a brute count ran")
+
+    monkeypatch.setattr(graph, "count_induced_cubes", refuse)
+    for brute_max in (-1, max(emb.SMALLEST_HOST_PREFIX) + 1):
+        with pytest.raises(RuncubeError, match="brute_max must be between 0 and 8"):
+            emb.host_check(brute_max=brute_max)
 
 
 def test_smallest_hosts():

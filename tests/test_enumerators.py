@@ -9,19 +9,19 @@ from runcube.polyseries import RationalGF
 def test_printed_updown_polynomials():
     series = en.gf_updown_closed(8)
     for n, terms in UPDOWN_PRINTED.items():
-        assert series.coefficient(n) == en.UD.poly(terms)
+        assert series[n] == en.UD.poly(terms)
 
 
 def test_printed_degree_polynomials():
     series = en.gf_degree_closed(10)
     for n, terms in G_PRINTED.items():
-        assert series.coefficient(n) == en.DEGREE_RING.poly(terms)
+        assert series[n] == en.DEGREE_RING.poly(terms)
 
 
 def test_r4_polynomials():
-    down = en.down_gf().expand(4).coefficient(4)
-    up = en.up_gf().expand(4).coefficient(4)
-    degree = en.gf_degree_closed(4).coefficient(4)
+    down = en.down_gf().expand(4)[4]
+    up = en.up_gf().expand(4)[4]
+    degree = en.gf_degree_closed(4)[4]
     assert down == en.UD.poly(R4_DOWN)
     assert up == en.UD.poly(R4_UP)
     assert degree == en.DEGREE_RING.poly(R4_DEGREE)
@@ -32,7 +32,7 @@ def test_degree_polynomial_counts_vertices_and_edge_ends():
 
     series = en.gf_degree_closed(30)
     for n in range(1, 31):
-        g = series.coefficient(n)
+        g = series[n]
         assert g.evaluate({"x": 1}) == strings.fibonacci(n + 2)
         edges = graph.edge_count(n) if n <= 12 else graph.closed_form_edge_count(n)
         assert g.partial_derivative("x").evaluate({"x": 1}) == 2 * edges
@@ -43,11 +43,11 @@ def test_up_gf_bare_t3_variant_fails_at_t4():
     # census at the fourth coefficient; the (u-2)t^3 reading never does
     good = en.up_gf().expand(12)
     bad = en.up_gf_printed_variant().expand(12)
-    assert [k for k in range(13) if good.coeffs[k] != bad.coeffs[k]][0] == 4
-    assert bad.coefficient(4) != en.UD.poly(R4_UP)
-    assert good.coefficient(4) == en.UD.poly(R4_UP)
+    assert [k for k in range(13) if good[k] != bad[k]][0] == 4
+    assert bad[4] != en.UD.poly(R4_UP)
+    assert good[4] == en.UD.poly(R4_UP)
     census = en.updown_polynomial(4).evaluate_at("d", 1)
-    assert good.coefficient(4) == census
+    assert good[4] == census
 
 
 def test_census_polynomials_match_closed_forms():
@@ -90,6 +90,18 @@ def test_word_sum_identities():
     assert rep.ok, "\n".join(rep.failures)
 
 
+def test_word_sums_fail_against_a_wrong_geometric(monkeypatch):
+    # the graded sums are compared with 1/(1 - step t) from RationalGF.geometric
+    real = RationalGF.geometric
+    monkeypatch.setattr(
+        RationalGF, "geometric", lambda self: real(self) + RationalGF(self.ring, {3: 1})
+    )
+    assert en.word_sum_identity_check(n_max=4).failures == [
+        "FAIL graded sum over %s w %s equals geometric form" % pair
+        for pair in (("a", "a"), ("b", "a"), ("a", "b"), ("b", "b"))
+    ]
+
+
 def test_specializations():
     rep = en.specialize_checks(order=24)
     assert rep.ok, "\n".join(rep.failures)
@@ -107,8 +119,26 @@ def test_edge_gf():
     assert rep.ok, "\n".join(rep.failures)
 
 
+def test_edge_checks_name_the_first_wrong_power(monkeypatch):
+    # every edge check reads the edge GF; a wrong t^9 term fails each at t^9
+    monkeypatch.setattr(en, "edge_gf", _with_term(en.edge_gf, 9, 1))
+    assert en.edge_gf_check(order=16).failures == [
+        "FAIL d-derivative of down GF at d=1: first difference at t^9",
+        "FAIL u-derivative of up GF at u=1: first difference at t^9",
+        "FAIL closed-form edge count through n=16: first difference at t^9",
+        "FAIL census edge counts through n=12: first difference at t^9",
+    ]
+
+
 def test_degree_k_laws():
     rep = en.degree_k_law_check(order=30)
+    assert rep.ok, "\n".join(rep.failures)
+
+
+@pytest.mark.parametrize("order", [3, 10, 13])
+def test_degree_k_laws_pass_below_the_printed_prefixes(order):
+    # the degree-4 prefix runs through n = 14; a shorter order must not fail on it
+    rep = en.degree_k_law_check(order=order)
     assert rep.ok, "\n".join(rep.failures)
 
 
@@ -194,17 +224,17 @@ def test_combined_e_form_matches_parts():
     # acceptance test's 16 (length 24 alone takes seconds)
     assembly = en.assemble_case_gfs(24)
     combined = en.combined_e_gf(24)
-    assert combined.order == 24
+    assert len(combined) == 25
     assert assembly.cases["E"] == combined
     for m in range(1, 19):
         census = en.case_census_polynomials(m)
         for tag in "ABCDE":
-            assert assembly.cases[tag].coefficient(m) == census[tag], (tag, m)
+            assert assembly.cases[tag][m] == census[tag], (tag, m)
         for sub in ("zero", "single", "block"):
-            assert assembly.e_parts[sub].coefficient(m) == census["E/" + sub], (sub, m)
-    total = [sum(cs) for cs in zip(*(assembly.cases[t].coeffs for t in "ABCDE"))]
-    assert assembly.gfx.coeffs == total
-    assert assembly.gf == en.gf_updown_closed(22).coeffs
+            assert assembly.e_parts[sub][m] == census["E/" + sub], (sub, m)
+    total = [sum(cs) for cs in zip(*(assembly.cases[t] for t in "ABCDE"))]
+    assert assembly.gfx == total
+    assert assembly.gf == en.gf_updown_closed(22)
 
 
 def test_assembly_never_reads_the_printed_closed_form(monkeypatch):
@@ -325,6 +355,31 @@ def _census_with_term(tag, m):
             _with_term(en.degree_gf, 20, en.DEGREE_RING.var("x")),
             "FAIL recurrence for 12 <= n <= 30: first difference at t^20",
         ),
+        (
+            # d/du of u^2 d at u = 1 is 2d, which no edge count equals
+            lambda: en.edge_gf_check(order=16),
+            "up_gf",
+            _with_term(en.up_gf, 8, en.UD.var("u") ** 2 * en.UD.var("d")),
+            "FAIL u-derivative of up GF at u=1: first difference at t^8",
+        ),
+        (
+            lambda: en.edge_gf_check(order=16),
+            "graph.edge_count",
+            lambda n, real=graph.edge_count: real(n) + (n == 7),
+            "FAIL census edge counts through n=12: first difference at t^7",
+        ),
+        (
+            lambda: en.specialize_checks(order=16),
+            "MAXIMAL_PREFIX",
+            en.MAXIMAL_PREFIX[:10] + [41] + en.MAXIMAL_PREFIX[11:],
+            "FAIL maximal-count prefix: first difference at t^11",
+        ),
+        (
+            lambda: en.degree_k_law_check(order=30),
+            "degree_gf",
+            _with_term(en.degree_gf, 9, en.DEGREE_RING.var("x") ** 4),
+            "FAIL degree-4 prefix from n=4: first difference at t^9",
+        ),
     ],
     ids=[
         "assembly",
@@ -338,6 +393,10 @@ def _census_with_term(tag, m):
         "edge_closed_form",
         "degree_2_law",
         "recurrence",
+        "u_derivative_stray_d",
+        "census_edges",
+        "maximal_prefix",
+        "degree_4_prefix",
     ],
 )
 def test_series_checks_name_the_first_wrong_power(monkeypatch, check, name, mutant, line):

@@ -151,10 +151,9 @@ def test_series_basics():
     one, two = R2.one(), R2.const(2)
     s = TruncatedSeries(R2, [one, two], 8)
     assert s.coeffs == [one, two] + [R2.zero()] * 7
-    assert s.coefficient(5) == R2.zero()
-    assert TruncatedSeries(R2, s.coeffs, 1) == TruncatedSeries(R2, [one, two])
+    assert TruncatedSeries(R2, s.coeffs, 1).coeffs == [one, two]
     with pytest.raises(DomainError):
-        s.coefficient(9)
+        TruncatedSeries(R2, [one], -1)
     with pytest.raises(RegistryError):
         TruncatedSeries(R2, [Ring(("x",)).one()])
 
@@ -201,8 +200,8 @@ def naive_quotient(num, den, order):
     return out
 
 
-def dicts(s):
-    return [c.terms for c in s.coeffs]
+def dicts(coeffs):
+    return [c.terms for c in coeffs]
 
 
 def from_table(ring, table, order):
@@ -218,7 +217,7 @@ def from_table(ring, table, order):
 def test_divide_by_multiplies_back(s):
     den = from_table(R2, {0: 1, 1: R2.var("u"), 3: -2}, s.order)
     q = s.divide_by(den)
-    assert naive_product(dicts(q), dicts(den), s.order) == dicts(s)
+    assert naive_product(dicts(q.coeffs), dicts(den.coeffs), s.order) == dicts(s.coeffs)
 
 
 @given(series())
@@ -227,8 +226,8 @@ def test_geometric_inverse(s):
     body = TruncatedSeries(R2, [R2.zero()] + s.coeffs, s.order)  # t * s
     inv = body.compose_geometric()
     one = {(0, 0): 1}
-    den = [one] + [{e: -c for e, c in t.items()} for t in dicts(body)[1:]]
-    assert naive_product(dicts(inv), den, s.order) == [one] + [{}] * s.order
+    den = [one] + [{e: -c for e, c in t.items()} for t in dicts(body.coeffs)[1:]]
+    assert naive_product(dicts(inv.coeffs), den, s.order) == [one] + [{}] * s.order
 
 
 RINGS = [Ring(("a", "b", "c", "e")[:arity]) for arity in range(5)]
@@ -270,7 +269,7 @@ def test_division_matches_naive_recurrence(pair):
     n = min(num.order, den.order)
     got = num.divide_by(den)
     assert got.order == n
-    assert dicts(got) == naive_quotient(dicts(num), dicts(den), n)
+    assert dicts(got.coeffs) == naive_quotient(dicts(num.coeffs), dicts(den.coeffs), n)
 
 
 @given(st.tuples(st.integers(0, 4), st.integers(0, 6)).flatmap(lambda ao: wide_series(*ao)))
@@ -279,8 +278,8 @@ def test_geometric_inverse_matches_naive_recurrence(s):
     ring = s.ring
     body = TruncatedSeries(ring, [ring.zero()] + s.coeffs[1:], s.order)
     one = {(0,) * ring.arity: 1}
-    den = [one] + [{e: -c for e, c in t.items()} for t in dicts(body)[1:]]
-    assert dicts(body.compose_geometric()) == naive_quotient([one], den, s.order)
+    den = [one] + [{e: -c for e, c in t.items()} for t in dicts(body.coeffs)[1:]]
+    assert dicts(body.compose_geometric().coeffs) == naive_quotient([one], den, s.order)
 
 
 @given(series_pairs(unit=True), st.integers(0, 8))
@@ -294,7 +293,7 @@ def test_rational_expansion_matches_naive_recurrence(pair, order):
         {k: c for k, c in enumerate(den.coeffs)},
     )
     got = gf.expand(order)
-    assert dicts(got) == naive_quotient(dicts(num), dicts(den) + [{}] * order, order)
+    assert dicts(got) == naive_quotient(dicts(num.coeffs), dicts(den.coeffs) + [{}] * order, order)
 
 
 @pytest.mark.parametrize("c", [2 ** 63 - 1, 2 ** 64, -(2 ** 63), -(2 ** 64) + 1])
@@ -304,17 +303,17 @@ def test_binomial_powers_cross_slot_width_edges(c, arity):
     order = 12
     step = ring.const(c) if arity == 0 else ring.monomial(c, a=1)
     base = TruncatedSeries(ring, [ring.one(), step], order)
-    naive = dicts(TruncatedSeries(ring, [ring.one()], order))
+    naive = dicts(TruncatedSeries(ring, [ring.one()], order).coeffs)
     for k in range(1, order + 1):
-        lower, naive = naive, naive_product(naive, dicts(base), order)
+        lower, naive = naive, naive_product(naive, dicts(base.coeffs), order)
         assert naive[k] == {(k,) * arity: c ** k}
         power = TruncatedSeries(ring, [MultiPoly(ring, t) for t in naive], order)
         # dividing (1 + ct)^k by 1 + ct gives (1 + ct)^(k-1)
-        assert dicts(power.divide_by(base)) == lower
-    assert dicts(power.divide_by(base)) == naive_quotient(naive, dicts(base), order)
+        assert dicts(power.divide_by(base).coeffs) == lower
+    assert dicts(power.divide_by(base).coeffs) == naive_quotient(naive, dicts(base.coeffs), order)
     # 1 / (1 + ct) alternates
     inverse = TruncatedSeries(ring, [ring.one()], order).divide_by(base)
-    assert [sum(t.values()) for t in dicts(inverse)] == [(-c) ** k for k in range(order + 1)]
+    assert [sum(t.values()) for t in dicts(inverse.coeffs)] == [(-c) ** k for k in range(order + 1)]
 
 
 @pytest.mark.parametrize("s", range(0, 36))
@@ -327,8 +326,8 @@ def test_summed_products_cross_slot_width_edges(s, sign):
     c = sign * 2 ** s
     step = ring.monomial(-c, a=1)
     den = TruncatedSeries(ring, [ring.one(), step, step, step], 5)
-    got = dicts(TruncatedSeries(ring, [ring.one()], 5).divide_by(den))
-    assert got == naive_quotient([{(0,): 1}], dicts(den), 5)
+    got = dicts(TruncatedSeries(ring, [ring.one()], 5).divide_by(den).coeffs)
+    assert got == naive_quotient([{(0,): 1}], dicts(den.coeffs), 5)
     assert got[4] == {(2,): 3 * c ** 2, (3,): 3 * c ** 3, (4,): c ** 4}
 
 
@@ -336,10 +335,10 @@ def test_all_zero_series():
     for ring in RINGS:
         zero = TruncatedSeries(ring, [], 5)
         one = TruncatedSeries(ring, [ring.one()], 3)
-        assert dicts(zero * 7) == [{}] * 6
-        assert dicts(one * 0) == [{}] * 4
-        assert dicts(zero.divide_by(one)) == [{}] * 4
-        assert dicts(zero.compose_geometric()) == [one.coeffs[0].terms] + [{}] * 5
+        assert dicts((zero * 7).coeffs) == [{}] * 6
+        assert dicts((one * 0).coeffs) == [{}] * 4
+        assert dicts(zero.divide_by(one).coeffs) == [{}] * 4
+        assert dicts(zero.compose_geometric().coeffs) == [one.coeffs[0].terms] + [{}] * 5
 
 
 def test_series_refuse_mixed_rings():
@@ -386,11 +385,6 @@ def test_negative_t_powers_are_refused():
         RationalGF(ring, {0: 1}, {0: 1, -2: 7})
     with pytest.raises(DomainError):
         RationalGF(ring, {-1: 0, 1: 1})
-    # integer_coefficients reads constants and refuses anything else
-    s = TruncatedSeries(ring, [ring.zero(), ring.const(2)], 3)
-    assert s.integer_coefficients() == [0, 2, 0, 0]
-    with pytest.raises(DomainError, match="t\\^1 is not constant"):
-        TruncatedSeries(ring, [ring.one(), ring.var("u")]).integer_coefficients()
 
 
 def test_edge_gf_denominator_is_the_squared_fibonacci_factor():
@@ -421,7 +415,7 @@ def test_expansions_multiply_back_to_numerator(gf):
     s = gf.expand(order)
     num = from_table(gf.ring, gf.numerator, order)
     den = from_table(gf.ring, gf.denominator, order)
-    assert naive_product(dicts(s), dicts(den), order) == dicts(num)
+    assert naive_product(dicts(s), dicts(den.coeffs), order) == dicts(num.coeffs)
 
 
 @given(series_pairs(unit=True), st.integers(0, 8))
@@ -429,13 +423,15 @@ def test_expansions_multiply_back_to_numerator(gf):
 def test_coefficient_stream_is_the_expansion(pair, order):
     num, den = pair
     gf = RationalGF(num.ring, dict(enumerate(num.coeffs)), dict(enumerate(den.coeffs)))
-    assert list(gf.coefficients(order)) == gf.expand(order).coeffs
+    expansion = gf.expand(order)
+    assert isinstance(expansion, list)
+    assert list(gf.coefficients(order)) == expansion
 
 
 @pytest.mark.parametrize("make", [enumerators.updown_gf, enumerators.edge_gf, poset.rank_gf])
 def test_coefficient_stream_refuses_before_it_starts(make):
     gf = make()
-    assert list(gf.coefficients(30)) == gf.expand(30).coeffs
+    assert list(gf.coefficients(30)) == gf.expand(30)
     # a refused order raises from the call itself, not from the first next()
     with pytest.raises(ResourceLimitError, match="series quotient"):
         gf.coefficients(10 ** 7)
@@ -509,7 +505,7 @@ def test_updown_slots_fit_its_coefficients():
     gf = enumerators.updown_gf()
     num, den = gf.numerator, gf.denominator
     got, widths = streamed_widths(gf, 100)
-    assert got == [c.terms for c in gf.expand(100).coeffs]
+    assert got == dicts(gf.expand(100))
     # the largest coefficient has 64 bits, so 9 bytes would do; the 1-norm
     # bound B_k (131 bits) asks for 17
     assert max(abs(c) for t in got for c in t.values()).bit_length() == 64
@@ -744,8 +740,8 @@ def test_factored_product_and_sum_match_series_arithmetic(pair):
     a, b = pair
     sa, sb = a.expand(ORDER), b.expand(ORDER)
     assert dicts((a * b).expand(ORDER)) == naive_product(dicts(sa), dicts(sb), ORDER)
-    assert (a + b).expand(ORDER).coeffs == [x + y for x, y in zip(sa.coeffs, sb.coeffs)]
-    assert (a - b).expand(ORDER).coeffs == [x - y for x, y in zip(sa.coeffs, sb.coeffs)]
+    assert (a + b).expand(ORDER) == [x + y for x, y in zip(sa, sb)]
+    assert (a - b).expand(ORDER) == [x - y for x, y in zip(sa, sb)]
 
 
 @given(factored_pairs())
@@ -755,10 +751,10 @@ def test_factored_geometric_matches_compose_geometric(pair):
     t = RationalGF(a.ring, {1: 1})
     body = t * a + t * t * b
     zero = a.ring.zero()
-    sa, sb = a.expand(ORDER).coeffs, [zero] + b.expand(ORDER).coeffs
+    sa, sb = a.expand(ORDER), [zero] + b.expand(ORDER)
     # the coefficient of t^k in t a + t^2 b is a_(k-1) + b_(k-2)
     want = TruncatedSeries(a.ring, [zero] + [x + y for x, y in zip(sa, sb)], ORDER)
-    assert body.geometric().expand(ORDER) == want.compose_geometric()
+    assert body.geometric().expand(ORDER) == want.compose_geometric().coeffs
 
 
 @pytest.mark.parametrize("ring", [R2, X1], ids=["u,d", "x"])
@@ -773,8 +769,8 @@ def test_sum_keeps_the_larger_denominator_power_of_a_shared_factor(ring):
     key = frozenset({(0,) * (ring.arity + 1): 1, (1,) + (1,) + (0,) * (ring.arity - 1): -1}.items())
     assert total.factors[key] == -2
     assert sorted(total.factors.values()) == [-2, -1]
-    sa, sb = a.expand(12).coeffs, b.expand(12).coeffs
-    assert total.expand(12).coeffs == [x + y for x, y in zip(sa, sb)]
+    sa, sb = a.expand(12), b.expand(12)
+    assert total.expand(12) == [x + y for x, y in zip(sa, sb)]
     # 1/(1 - t/(1 - v t)) = (1 - v t)/(1 - (v + 1) t) holds 1 - v t as a
     # numerator factor, and a product with 1/(1 - v t) cancels it
     back = (tp({1: 1}) * inv).geometric()
@@ -793,7 +789,8 @@ def test_geometric_moves_the_denominator_into_the_numerator():
     assert sorted(Y.factors.values()) == [-1, -1]
     gs = G.expand(14)
     square = naive_product(dicts(gs), dicts(gs), 14)
-    assert dicts(Y.expand(14)) == naive_product(square, dicts(gs.compose_geometric()), 14)
+    geometric = TruncatedSeries(R2, gs, 14).compose_geometric()
+    assert dicts(Y.expand(14)) == naive_product(square, dicts(geometric.coeffs), 14)
 
 
 def test_factored_refusals():
@@ -805,8 +802,8 @@ def test_factored_refusals():
         RationalGF(R2, {1: X1.var("x")})
     with pytest.raises(DomainError):
         RationalGF(R2, {-1: 1})
-    assert RationalGF(R2, {}).geometric().expand(3) == TruncatedSeries(R2, [R2.one()], 3)
-    want = TruncatedSeries(R2, [R2.const(2), R2.const(-3)], 2)
+    assert RationalGF(R2, {}).geometric().expand(3) == [R2.one()] + [R2.zero()] * 3
+    want = [R2.const(2), R2.const(-3), R2.zero()]
     assert (2 + RationalGF(R2, {1: 1}) * -3).expand(2) == want
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from goldens import POSET_PAIRS, POSET_VIOLATIONS
-from runcube import graph, poset, strings
+from runcube import enumerators, graph, poset, strings
 from runcube.errors import ResourceLimitError, ValidationError
 from runcube.polyseries import RationalGF
 
@@ -217,6 +217,13 @@ def test_rank_and_maximal_reports():
     assert poset.maximal_gf_check(order=24, brute_max=14).ok
 
 
+@pytest.mark.parametrize("order", [1, 8, 12])
+def test_maximal_report_passes_below_the_printed_prefix(order):
+    # MAXIMAL_PREFIX has 13 terms; a shorter order must not fail on it
+    rep = poset.maximal_gf_check(order=order, brute_max=4)
+    assert rep.ok, "\n".join(rep.failures)
+
+
 @pytest.mark.parametrize(
     "check, owner, name, mutant, line",
     [
@@ -234,8 +241,15 @@ def test_rank_and_maximal_reports():
             lambda n, real=graph._maximal_by_flip_scan: real(n)[: -1 if n == 7 else None],
             "FAIL GF counts maximal vertices through n=10: first difference at t^7",
         ),
+        (
+            lambda: poset.maximal_gf_check(brute_max=10),
+            enumerators,
+            "MAXIMAL_PREFIX",
+            enumerators.MAXIMAL_PREFIX[:10] + [41] + enumerators.MAXIMAL_PREFIX[11:],
+            "FAIL printed count prefix: first difference at t^11",
+        ),
     ],
-    ids=["rank_gf", "maximal_brute"],
+    ids=["rank_gf", "maximal_brute", "maximal_prefix"],
 )
 def test_series_checks_name_the_first_wrong_power(monkeypatch, check, owner, name, mutant, line):
     monkeypatch.setattr(owner, name, mutant)
