@@ -7,33 +7,18 @@ single bit (validity of a flip is always decided on the full string,
 label + "00").  |V(R_n)| is the Fibonacci number f_{n+2}.
 
 Vertex labels are kept as sorted int64 bitmasks (most significant bit =
-first character), which lets adjacency and degree scans run as vectorized
-flip-and-rank passes instead of pairwise comparisons.  Whether a flipped
-label is a vertex, and where it sits among the sorted labels, is read off
-two-level rank tables over the run rule (`_rank_tables`): split a label
-into its high and low halves; a table indexed by the high half gives the
-index of the first label with that high half and the state of the run
-automaton after it (the length of an open 1-run, or how many zeros are
-still owed, or dead), and a table indexed by (state, low half) gives the
-low half's rank among the completions valid from that state, -1 for an
-invalid one.  The automaton has at most n + 4 states, so the tables hold
-O(n 2^(n/2)) entries, and a probe is two gathers and an add.  One kernel,
+first character).  Whether a flipped label is a vertex, and where it sits
+among the sorted labels, is read off two-level rank tables over the run
+rule (`_rank_tables`), two gathers and an add per probe.  One kernel,
 `_flip_scan`, makes those passes for `build` (and `poset`'s reachability),
 for the brute census `degree_census`, and for `_maximal_by_flip_scan`, the
-oracle of `maximal_vertices`.  For `build` it writes a table with each
-label's neighbour across each bit, -1 for none; one in-place sort per
-vertex row then puts the CSR adjacency lists in ascending order.
+oracle of `maximal_vertices`.  For `build` it writes each label's
+neighbour across each bit, -1 for none; one in-place sort per vertex row
+then puts the CSR adjacency lists in ascending order.
 
-Distances come from one bit-parallel BFS kernel, `bfs_levels`, after
-Then et al., "The More the Merrier: Efficient Multi-Source Graph
-Traversal" (VLDB 2014): up to 64 sources advance together, each vertex
-holding a uint64 word of the sources that have reached it.  Each level
-chooses its direction, after Beamer, Asanovic and Patterson,
-"Direction-optimizing breadth-first search" (SC 2012): a small frontier
-pushes its words along its own CSR rows only, a large one is pulled by
-one gather and per-row OR over every arc.  `bfs_distances`,
-`eccentricity`, `diameter`, `radius` and `embedding.dilation` all read
-their answers off its levels.
+Distances come from one bit-parallel, direction-optimizing BFS kernel,
+`bfs_levels`; `bfs_distances`, `eccentricity`, `diameter`, `radius` and
+`embedding.dilation` all read their answers off its levels.
 
 `census --n N` does not scan at all: `transfer_census` reads the census
 off a finite automaton over runs (the transfer-matrix method, Stanley,
@@ -46,21 +31,8 @@ slack s >= 0.  Its flip degrees are then
            block's zero run, and one more u for each pair of adjacent zero
            runs that both have slack >= 1 (for the leading run: z0 >= 1).
 
-The automaton's states, each the census polynomial of the strings of
-length k that end in that state, are
-
-    L0[0] = 1, L1[1] = 1, L2[k] = u^(k-2)         leading run z0 = 0, 1, >= 2
-    F0 = L0 + A00 + A01,  F1 = L1 + L2 + A1        last zero run: slack 0 / >= 1
-    Q_f[k]  = d^2 F_f[k-5] + Q_f[k-2]              a block with r >= 2, s = 0
-    A0_f[k] = d F_f[k-3] + Q_f[k]                  any block with s = 0
-    A1[k]   = A00[k-1] + u A01[k-1] + u A1[k-1]    one more zero of slack
-
-where f in A0_f and Q_f is the slack class (F0 or F1) of the zero run
-before the block, and R_n's census is F0[n+2] + F1[n+2].  Every state is
-one Kronecker-packed int (`polyseries._Layout`), so a factor u^a d^b is a
-shift and a sum of states a bigint add; only the last five lengths are
-kept.  The flip scan stays as the brute oracle (`degree_census`, used by
-`census_check`, `edge_count` and the tests).
+`RUN_ARCS` states the automaton these rules give; `_transfer_pass` runs
+it on Kronecker-packed ints (`polyseries._Layout`).
 
 The same rule gives the maximal vertices, those with up-degree 0, without
 a scan: the leading run has z0 <= 2, every block has slack s <= 1, and no
@@ -71,6 +43,8 @@ bottom up like `strings.rc_masks`, so its work grows with its output.
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -78,6 +52,7 @@ from . import config
 from .errors import DomainError, ResourceLimitError, StructureError, ValidationError
 from .polyseries import _Layout
 from .strings import (
+    _require_int,
     _require_int64,
     fibonacci,
     mask_is_run_constrained,
@@ -89,8 +64,7 @@ from .strings import (
 
 def vertex_labels(n):
     """Sorted n-bit label masks of R_n (full strings with the 00 removed)."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
+    _require_int(n, least=1)
     return rc_masks(n + 2) >> np.int64(2)
 
 
@@ -123,8 +97,7 @@ def _require_label(n, label):
 
 def _vertex_total(n, cap, streaming=False):
     """f_(n+2), the vertex count of R_n, once n and the size cap allow it."""
-    if n < 1:
-        raise DomainError("n must be at least 1")
+    _require_int(n, least=1)
     total = fibonacci(n + 2)
     limit = config.stream_cap(cap) if streaming else config.vertex_cap(cap)
     if total > limit:
@@ -193,14 +166,11 @@ def _flip_scan(chunk, n, table=None, bits=None):
 
     `chunk` is an ascending array of R_n's label masks.  Every mask is
     flipped at each of the n label bits (or only at `bits`) and looked up
-    in the rank tables, built once per call by `_rank_tables`: one row per
-    state of the run automaton (dead, k zeros owed, or an open run of r
-    ones; at most n + 4 states) over the 2^(n//2) low halves, and one
-    entry per high half, O(n 2^(n/2)) entries in all.  A flip inside the
-    low half keeps the row and moves the column, one inside the high half
-    moves the row.  A hit is a neighbour, counted as up when the bit was
-    0, which is when the neighbour's rank (low flips) or high half (high
-    flips) is larger.  A `table` of shape (number of bits, len(chunk)) and
+    in the rank tables, built once per call by `_rank_tables`.  A flip
+    inside the low half keeps the row and moves the column, one inside the
+    high half moves the row.  A hit is a neighbour, counted as up when the
+    bit was 0, which is when the neighbour's rank (low flips) or high half
+    (high flips) is larger.  A `table` shaped (number of bits, len(chunk)) and
     dtype `_index_type(n)` gets, in row k, each label's neighbour's index in
     R_n across the k-th bit scanned, -1 where that flip leaves R_n.
     """
@@ -353,6 +323,38 @@ def degree_census(n, cap=None):
 # bytes than this; the states grow about like n^3 bits
 TRANSFER_MAX_BYTES = 1 << 28
 
+# The run automaton of `transfer_census`: an arc (target, source, length,
+# a, b) adds u^a d^b times the source's census at length k - length to the
+# target's at length k, and R_n's census is F0 + F1 at length n + 2.  S is
+# the empty string, worth 1 at length 0; Z a leading run z0 >= 2; F0 and F1
+# end in a zero run of slack 0 or >= 1 (the leading run: z0 = 0 or >= 1);
+# Q_f in a block with r >= 2, s = 0, and A0_f in any block with s = 0, after
+# a zero run of class F_f; A1 in a block with s >= 1.  Arcs are listed by
+# target; a length-0 arc reads an earlier state.
+RUN_ARCS = (
+    ("Z", "S", 2, 0, 0), ("Z", "Z", 1, 1, 0),
+    ("Q0", "F0", 5, 0, 2), ("Q0", "Q0", 2, 0, 0),
+    ("Q1", "F1", 5, 0, 2), ("Q1", "Q1", 2, 0, 0),
+    ("A00", "F0", 3, 0, 1), ("A00", "Q0", 0, 0, 0),
+    ("A01", "F1", 3, 0, 1), ("A01", "Q1", 0, 0, 0),
+    ("A1", "A00", 1, 0, 0), ("A1", "A01", 1, 1, 0), ("A1", "A1", 1, 1, 0),
+    ("F0", "S", 0, 0, 0), ("F0", "A00", 0, 0, 0), ("F0", "A01", 0, 0, 0),
+    ("F1", "S", 1, 0, 0), ("F1", "Z", 0, 0, 0), ("F1", "A1", 0, 0, 0),
+)
+
+
+def _run_plan():
+    """({state: lengths kept}, [(target, source, back, a, b)]) of RUN_ARCS.
+
+    States run in table order, S first: at length k an arc reads its source
+    `back` = length (+ 1 if the source ran first) places from its window's end.
+    """
+    order = list(dict.fromkeys(["S"] + [arc[0] for arc in RUN_ARCS]))
+    arcs = [(t, s, n + (order.index(s) < order.index(t)), a, b) for t, s, n, a, b in RUN_ARCS]
+    if any(arc[2] == 0 for arc in arcs):
+        raise StructureError("RUN_ARCS has a length-0 arc from a later state")
+    return {state: max([1] + [arc[2] for arc in arcs if arc[1] == state]) for state in order}, arcs
+
 
 def _transfer_layout(n):
     """Packed layout of the automaton's states for R_n, size-checked.
@@ -360,12 +362,10 @@ def _transfer_layout(n):
     Slots are bounded by f_(n+2), since every state counts distinct strings
     of one length, up-degrees by n, and down-degrees by 2(n+2)/5, since a
     block of weight d^2 is at least 5 long and one of weight d at least 3.
+    The check counts every packed int the pass keeps.
     """
-    length = n + 2
-    layout = _Layout([n, 2 * length // 5], fibonacci(length))
-    # 24 live states: five lengths of F0 and F1, two of each Q, the three A
-    # states, and one step's new values before the windows move
-    need = 24 * layout.block * layout.width
+    layout = _Layout([n, 2 * (n + 2) // 5], fibonacci(n + 2))
+    need = sum(_run_plan()[0].values()) * layout.block * layout.width
     if need > TRANSFER_MAX_BYTES:
         raise ResourceLimitError(
             "transfer census of R_%d needs about %d bytes of packed states, cap is %d"
@@ -375,29 +375,33 @@ def _transfer_layout(n):
 
 
 def _transfer_pass(layout, length):
-    """Packed (F0, F1) at each length 0..length; the module docstring has the automaton."""
-    u = 8 * layout.width
-    d = u * layout.strides[1]
-    f0 = f1 = (0,) * 5  # F_f at lengths k-5 .. k-1
-    q0 = q1 = (0, 0)  # Q_f at lengths k-2, k-1
-    a00 = a01 = a1 = 0  # at length k-1
+    """Packed (F0, F1) at each length 0..length, running RUN_ARCS.
+
+    A target's arcs are grouped by the shift of u^a d^b, each group summed,
+    then shifted once; an int shifted by 0 is a copy, so that group is not.
+    """
+    depth, arcs = _run_plan()
+    windows = {state: deque([0] * keep, maxlen=keep) for state, keep in depth.items()}
+    reads = {}  # target: {shift: [(source window, index)]}
+    for target, source, back, a, b in arcs:
+        shift = 8 * layout.width * layout.offset((a, b))
+        reads.setdefault(target, {}).setdefault(shift, []).append((windows[source], -back))
+    steps = [(windows[t].append, g.pop(0, []), list(g.items())) for t, g in reads.items()]
+    start, f0, f1 = windows["S"], windows["F0"], windows["F1"]
     for k in range(length + 1):
-        nq0 = (f0[0] << 2 * d) + q0[0]
-        nq1 = (f1[0] << 2 * d) + q1[0]
-        a00, a01, a1 = (f0[2] << d) + nq0, (f1[2] << d) + nq1, a00 + ((a01 + a1) << u)
-        lead0 = int(k == 0)  # L0
-        lead1 = 1 << (u * max(k - 2, 0)) if k else 0  # L1 + L2
-        f0 = f0[1:] + (lead0 + a00 + a01,)
-        f1 = f1[1:] + (lead1 + a1,)
-        q0, q1 = (q0[1], nq0), (q1[1], nq1)
+        start.append(int(k == 0))
+        for push, plain, shifted in steps:
+            parts = [w[i] for w, i in plain]
+            parts += [reduce(add, [w[i] for w, i in group]) << s for s, group in shifted]
+            push(reduce(add, parts))
         yield f0[-1], f1[-1]
 
 
 def transfer_census(n, cap=None):
     """The (up, down) census of R_n from the run-level transfer automaton.
 
-    Same result and caps as `degree_census`, without a scan: one pass over
-    lengths 0..n+2 on packed states, keeping five lengths at a time.
+    Same result and caps as `degree_census`, without a scan: one pass of
+    RUN_ARCS over lengths 0..n+2 on packed states.
     """
     total = _vertex_total(n, cap, streaming=True)
     layout = _transfer_layout(n)
@@ -449,18 +453,19 @@ def _source_index(graph, source):
 def bfs_levels(graph, sources):
     """Bit-parallel BFS from up to 64 sources at once, one level per step.
 
-    Vertex v holds one uint64 word whose bit s is set once sources[s] has
-    reached v.  Each level is direction-optimizing, after Beamer, Asanovic
-    and Patterson, "Direction-optimizing breadth-first search" (SC 2012).
-    While the frontier has fewer than 1/PUSH_SHARE of the vertices, a push
-    step reads the CSR arcs of the frontier rows only and ORs their words
-    into the targets.  Otherwise a pull step gathers the frontier words over
-    every arc and ORs them per row with one reduceat.  Either way, the bits
-    a vertex did not have before are the next frontier.  Yields, for
-    d = 1, 2, ..., the uint64 array of bits newly set at distance d, so the
-    number of levels is the largest eccentricity among the sources.  After
-    the last level, raises StructureError if some source did not reach
-    every vertex.
+    After Then et al., "The More the Merrier: Efficient Multi-Source Graph
+    Traversal" (VLDB 2014), vertex v holds one uint64 word whose bit s is
+    set once sources[s] has reached v.  Each level is direction-optimizing,
+    after Beamer, Asanovic and Patterson, "Direction-optimizing
+    breadth-first search" (SC 2012).  While the frontier has fewer than
+    1/PUSH_SHARE of the vertices, a push step reads the CSR arcs of the
+    frontier rows only and ORs their words into the targets.  Otherwise a
+    pull step gathers the frontier words over every arc and ORs them per row
+    with one reduceat.  Either way, the bits a vertex did not have before
+    are the next frontier.  Yields, for d = 1, 2, ..., the uint64 array of
+    bits newly set at distance d, so the number of levels is the largest
+    eccentricity among the sources.  After the last level, raises
+    StructureError if some source did not reach every vertex.
     """
     sources = [_source_index(graph, s) for s in sources]
     k = len(sources)
@@ -620,18 +625,12 @@ def count_induced_cubes(n, cap=None):
         # exactly when every mask between them is a vertex
         u = v
         while True:
-            diff = v ^ u
-            full = True
-            sub = diff
-            while True:
-                if (u | sub) not in members:
-                    full = False
-                    break
+            diff = sub = v ^ u
+            while (u | sub) in members:
                 if sub == 0:
+                    h[diff.bit_count()] += 1
                     break
                 sub = (sub - 1) & diff
-            if full:
-                h[diff.bit_count()] += 1
             if u == 0:
                 break
             u = (u - 1) & v

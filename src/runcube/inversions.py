@@ -89,8 +89,7 @@ PRINTED_Q = {
 
 def q_polynomial(n, cap=None):
     """Q_n(x, q) by direct enumeration of the strings of length n."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
+    strings._require_int(n, least=0)
     _refuse_enumeration(n, cap)
     if n == 0:
         return XQ.one()

@@ -72,7 +72,7 @@ RANK_MAX_N = 5000
 
 def rank_polynomial(n):
     """Rank enumerator of R_n: sum over vertices of x^(number of ones)."""
-    if n < 0:
+    if strings._require_int(n) < 0:
         raise ValidationError("n must be nonnegative")
     if n > RANK_MAX_N:
         raise ResourceLimitError(

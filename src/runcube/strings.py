@@ -15,6 +15,7 @@ string is counted).
 from dataclasses import dataclass, field
 from functools import lru_cache
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -176,6 +177,20 @@ def fibonacci(k):
     return a
 
 
+def _require_int(value, name="n", least=None):
+    """value as an int, refused with DomainError unless it is an integer, numpy's included.
+
+    A bool, a float, a string or None is refused rather than truncated, and
+    so is a value below `least` when that is given.
+    """
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise DomainError("%s must be an integer, got %r" % (name, value))
+    if least is not None and value < least:
+        bound = "at least %d" % least if least else "nonnegative"
+        raise DomainError("%s must be %s" % (name, bound))
+    return int(value)
+
+
 def _require_int64(length):
     """Raise DomainError unless masks of this length fit in int64."""
     if length >= 64:
@@ -214,9 +229,7 @@ def rc_masks(length):
 
 def enumerate_rc(length, cap=None):
     """All run-constrained strings of a length, in ascending order."""
-    length = int(length)
-    if length < 0:
-        raise DomainError("length must be nonnegative")
+    length = _require_int(length, "length", least=0)
     total = fibonacci(length) if length >= 1 else 1
     limit = config.vertex_cap(cap)
     if total > limit:

@@ -1,8 +1,11 @@
+from functools import partial
+
+import numpy as np
 import pytest
 
 from goldens import G_PRINTED, R4_DEGREE, R4_DOWN, R4_UP, UPDOWN_PRINTED
-from runcube import enumerators as en, graph, inversions
-from runcube.errors import DomainError, ResourceLimitError
+from runcube import embedding, enumerators as en, graph, inversions, poset, strings
+from runcube.errors import ConfigError, DomainError, ResourceLimitError
 from runcube.polyseries import RationalGF
 
 
@@ -183,18 +186,62 @@ def test_recurrence():
         en.recurrence_check(n_max=5)
 
 
+SIZED = [
+    graph.build,
+    graph.transfer_census,
+    graph.degree_census,
+    graph.maximal_vertices,
+    graph.count_induced_cubes,
+    graph.vertex_labels,
+    inversions.q_polynomial,
+    poset.rank_polynomial,
+    embedding.dilation,
+    en.updown_polynomial,
+    strings.enumerate_rc,
+]
+NOT_SIZES = [2.5, "5", None, True]
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda: en.assemble_case_gfs(2),
         lambda: en.degree_k_series(-1, 10),
         lambda: inversions.q_polynomial(-1),
+        *[partial(f, bad) for f in SIZED for bad in NOT_SIZES],
     ],
-    ids=["assembly", "degree_k", "q_polynomial"],
+    ids=[
+        "assembly",
+        "degree_k",
+        "q_polynomial",
+        *["%s(%r)" % (f.__name__, bad) for f in SIZED for bad in NOT_SIZES],
+    ],
 )
 def test_bad_arguments_are_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
+
+CAPPED = {
+    "build": lambda cap: graph.build(5, cap=cap).edges(),
+    "transfer_census": lambda cap: graph.transfer_census(5, cap=cap),
+    "q_polynomial": lambda cap: inversions.q_polynomial(5, cap=cap),
+    "enumerate_rc": lambda cap: strings.enumerate_rc(5, cap=cap),
+    "leq": lambda cap: poset.leq(5, "00000", "10000", cap=cap),
+}
+
+
+@pytest.mark.parametrize("call", CAPPED.values(), ids=CAPPED.keys())
+@pytest.mark.parametrize("cap", ["x", 2.5, True, -1], ids=repr)
+def test_bad_caps_are_config_errors(call, cap):
+    # refused as the RUNCUBE_*_CAP variables are, not truncated or raised as ValueError
+    with pytest.raises(ConfigError):
+        call(cap)
+
+
+@pytest.mark.parametrize("call", CAPPED.values(), ids=CAPPED.keys())
+def test_caps_may_be_numpy_integers(call):
+    assert call(np.int64(1000)) == call(1000)
 
 
 @pytest.mark.parametrize(
@@ -249,12 +296,24 @@ def test_assembly_never_reads_the_printed_closed_form(monkeypatch):
 
 
 def test_assembly_multiplies_no_series(monkeypatch):
+    from runcube import polyseries
     from runcube.polyseries import TruncatedSeries
 
     def refuse(self, other):
         raise AssertionError("the assembly multiplied truncated series")
 
+    divisions = []
+    divide = polyseries._divide
+
+    def counted(*args):
+        divisions.append(args[-1])
+        return divide(*args)
+
     monkeypatch.setattr(TruncatedSeries, "__mul__", refuse)
+    monkeypatch.setattr(polyseries, "_divide", counted)
+    en.assemble_case_gfs(12)
+    # each of the five cases, the three E parts and GFX is expanded once
+    assert divisions == [12] * 9
     assert en.case_assembly_check(order=12, max_len=8).ok
 
 

@@ -9,6 +9,7 @@ import pytest
 from goldens import EDGE_COUNTS, R4_CENSUS
 from runcube import enumerators, graph, strings
 from runcube.errors import DomainError, ResourceLimitError, StructureError, ValidationError
+from runcube.polyseries import RationalGF
 
 
 def hamming(a, b):
@@ -78,6 +79,84 @@ def test_transfer_census_matches_the_closed_form_to_150():
     for n in (25, 60, 149, 150):
         census = graph.transfer_census(n, cap=strings.fibonacci(n + 2))
         assert census.counts == closed[n].terms, n
+
+
+def run_arcs_gf(ring, weight):
+    """sum_k (F0[k] + F1[k]) t^k of graph.RUN_ARCS, exactly, as a RationalGF.
+
+    Each state X solves X = [X is S] + sum over its arcs of
+    weight(a, b) t^length X_source.  Gauss-Jordan elimination in the table's
+    order (one geometric per self-loop) leaves every state a rational
+    function, with no truncation.
+    """
+    rows = {"S": {None: RationalGF(ring, {0: 1})}}
+    for target, source, length, a, b in graph.RUN_ARCS:
+        row = rows.setdefault(target, {})
+        row[source] = row.get(source, 0) + RationalGF(ring, {length: weight(a, b)})
+    for state in rows:
+        row = rows[state]
+        if state in row:
+            scale = row.pop(state).geometric()
+            row = rows[state] = {key: value * scale for key, value in row.items()}
+        for other in rows.values():
+            if state in other:
+                factor = other.pop(state)
+                for key, value in row.items():
+                    other[key] = other.get(key, 0) + factor * value
+    return rows["F0"][None] + rows["F1"][None]
+
+
+def updown_difference():
+    """The table's GF minus 1 + t + t^2 + t^2 updown_gf().
+
+    The strings of length 0, 1 and 2 come first, then R_n at t^(n+2).
+    """
+    ring = enumerators.UD
+    table = run_arcs_gf(ring, lambda a, b: ring.monomial(1, u=a, d=b))
+    lead = RationalGF(ring, {0: 1, 1: 1, 2: 1})
+    return table - lead - RationalGF(ring, {2: 1}) * enumerators.updown_gf()
+
+
+def maximal_difference():
+    """As updown_difference at u := 0, d := 1, which keeps the strings with no up-flip."""
+    ring = enumerators.SCALAR
+    table = run_arcs_gf(ring, lambda a, b: int(a == 0))
+    lead = RationalGF(ring, {0: 1, 1: 1, 2: 1})
+    return table - lead - RationalGF(ring, {2: 1}) * enumerators.maximal_gf()
+
+
+def test_run_arcs_solve_to_the_printed_closed_form():
+    # polynomial identities in t, u and d, so they hold for every n
+    assert updown_difference().num == {}
+    assert maximal_difference().num == {}
+
+
+@pytest.mark.parametrize(
+    "arc, mutant, maximal_differs",
+    [
+        (("Q0", "F0", 5, 0, 2), ("Q0", "F0", 5, 0, 1), False),
+        (("A1", "A01", 1, 1, 0), ("A1", "A01", 1, 0, 0), True),
+    ],
+    ids=["d_for_d2", "u_dropped"],
+)
+def test_a_changed_arc_fails_the_identity_and_the_flip_scan(
+    monkeypatch, arc, mutant, maximal_differs
+):
+    arcs = [mutant if a == arc else a for a in graph.RUN_ARCS]
+    assert arcs.count(mutant) == 1
+    monkeypatch.setattr(graph, "RUN_ARCS", tuple(arcs))
+    assert updown_difference().num != {}
+    # a change in a d power alone is invisible at u := 0, d := 1
+    assert (maximal_difference().num != {}) == maximal_differs
+    assert any(
+        graph.transfer_census(n).counts != graph.degree_census(n).counts for n in range(1, 13)
+    )
+
+
+def test_run_arcs_refuse_a_length_0_arc_from_a_later_state(monkeypatch):
+    monkeypatch.setattr(graph, "RUN_ARCS", graph.RUN_ARCS + (("Z", "F1", 0, 0, 0),))
+    with pytest.raises(StructureError, match="later state"):
+        graph.transfer_census(5)
 
 
 def test_transfer_census_keeps_the_stream_cap(monkeypatch):
