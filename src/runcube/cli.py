@@ -165,8 +165,7 @@ def cmd_poset(args):
         if args.format == "json":
             _emit_json({"n": args.n, "maximal": labels})
         else:
-            for label in labels:
-                print(label)
+            sys.stdout.write("".join(label + "\n" for label in labels))
         return 0
     if args.action == "mobius":
         if args.bottom is None or args.top is None:

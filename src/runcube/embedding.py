@@ -131,8 +131,7 @@ def dilation(n, cap=None):
     level at which that target first shows v's bit.  The worst edge is the
     first maximum with v ascending, then bit ascending.
     """
-    if strings._require_int(n) < 1:
-        raise ValidationError("n must be positive")
+    strings._require_int(n, least=1)
     g = graph.build(3 * n - 1, cap=cap)
     words = [format(v, "0%db" % n) for v in range(1 << n)]
     image = np.array([g.index_of(encode(word).label) for word in words], dtype=np.int64)

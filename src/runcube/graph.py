@@ -10,11 +10,13 @@ Vertex labels are kept as sorted int64 bitmasks (most significant bit =
 first character).  Whether a flipped label is a vertex, and where it sits
 among the sorted labels, is read off two-level rank tables over the run
 rule (`_rank_tables`), two gathers and an add per probe.  One kernel,
-`_flip_scan`, makes those passes for `build` (and `poset`'s reachability),
-for the brute census `degree_census`, and for `_maximal_by_flip_scan`, the
-oracle of `maximal_vertices`.  For `build` it writes each label's
-neighbour across each bit, -1 for none; one in-place sort per vertex row
-then puts the CSR adjacency lists in ascending order.
+`_flip_scan`, makes those passes for a `FibRunGraph`'s degrees and
+adjacency (and `poset`'s reachability), for the brute census
+`degree_census`, and for `_maximal_by_flip_scan`, the oracle of
+`maximal_vertices`.  For the adjacency it writes each label's neighbour
+across each bit, -1 for none; one in-place sort per vertex row then puts
+the CSR adjacency lists in ascending order.  `build` makes only the
+labels; the graph scans on the first read of its degrees or adjacency.
 
 Distances come from one bit-parallel, direction-optimizing BFS kernel,
 `bfs_levels`; `bfs_distances`, `eccentricity`, `diameter`, `radius` and
@@ -203,15 +205,58 @@ def _flip_scan(chunk, n, table=None, bits=None):
 
 
 class FibRunGraph:
-    """Explicit R_n with sorted labels and CSR adjacency."""
+    """Explicit R_n: sorted labels, with degrees and CSR adjacency made on first read.
 
-    def __init__(self, n, labels, indptr, indices, up_degrees, down_degrees):
+    The degrees come from a plain flip scan.  The CSR comes from a scan that
+    fills a neighbour table, which also gives the degrees; so a caller that
+    reads only counts never holds the table, and one that reads adjacency
+    pays one scan.  Arrays passed in are used as they are.
+    """
+
+    def __init__(self, n, labels, indptr=None, indices=None, up_degrees=None, down_degrees=None):
         self.n = n
         self.labels = labels
-        self.indptr = indptr
-        self.indices = indices
-        self.up_degrees = up_degrees
-        self.down_degrees = down_degrees
+        self._indptr = indptr
+        self._indices = indices
+        self._up_degrees = up_degrees
+        self._down_degrees = down_degrees
+
+    @property
+    def indptr(self):
+        return self._csr()[0]
+
+    @property
+    def indices(self):
+        return self._csr()[1]
+
+    @property
+    def up_degrees(self):
+        return self._degrees()[0]
+
+    @property
+    def down_degrees(self):
+        return self._degrees()[1]
+
+    def _degrees(self):
+        if self._up_degrees is None:
+            self._up_degrees, self._down_degrees = _flip_scan(self.labels, self.n)
+        return self._up_degrees, self._down_degrees
+
+    def _csr(self):
+        """(indptr, indices), with the degrees, from one neighbour-table scan."""
+        if self._indices is None:
+            n, labels = self.n, self.labels
+            table = np.empty((n, len(labels)), dtype=_index_type(n))
+            ups, downs = _flip_scan(labels, n, table)
+            indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+            np.cumsum(ups + downs, dtype=np.int64, out=indptr[1:])
+            table = table.T  # one row per vertex, where the misses (-1) sort first
+            table.sort(axis=1)
+            indices = table[table >= 0]
+            del table  # freed first, so the int64 copy is never made beside the table
+            self._indptr, self._indices = indptr, indices.astype(np.int64)
+            self._up_degrees, self._down_degrees = ups, downs
+        return self._indptr, self._indices
 
     @property
     def vertex_count(self):
@@ -219,7 +264,8 @@ class FibRunGraph:
 
     @property
     def edge_count(self):
-        return len(self.indices) // 2
+        # every edge is the up-flip of exactly one endpoint
+        return int(self.up_degrees.sum(dtype=np.int64))
 
     def label_string(self, i):
         return mask_to_word(int(self.labels[i]), self.n)
@@ -245,18 +291,9 @@ class FibRunGraph:
 
 
 def build(n, cap=None):
-    """Materialize R_n explicitly; capped by the vertex limit."""
+    """R_n with its labels, capped by the vertex limit; the rest is made on first read."""
     total = _vertex_total(n, cap)
-    labels = vertex_labels(n)
-    table = np.empty((n, len(labels)), dtype=_index_type(n))
-    ups, downs = _flip_scan(labels, n, table)
-    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
-    np.cumsum(ups + downs, dtype=np.int64, out=indptr[1:])
-    table = table.T  # one row per vertex, where the misses (-1) sort first
-    table.sort(axis=1)
-    indices = table[table >= 0]
-    del table  # freed first, so the int64 copy is never made beside the table
-    graph = FibRunGraph(n, labels, indptr, indices.astype(np.int64), ups, downs)
+    graph = FibRunGraph(n, vertex_labels(n))
     if graph.vertex_count != total:
         raise StructureError(
             "R_%d built with %d vertices, expected %d" % (n, graph.vertex_count, total)
@@ -651,10 +688,11 @@ def to_dot(graph):
 
 
 def graph_json(graph):
+    edges = [[i, j] for i, j in graph.edges()]  # first, so one scan gives the degrees too
     census = Counter(zip(graph.up_degrees.tolist(), graph.down_degrees.tolist()))
     return {
         "n": graph.n,
         "vertices": _words(graph.labels, graph.n),
-        "edges": [[i, j] for i, j in graph.edges()],
+        "edges": edges,
         "census": [[a, b, c] for (a, b), c in sorted(census.items())],
     }

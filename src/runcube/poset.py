@@ -46,7 +46,7 @@ from math import comb
 import numpy as np
 
 from . import enumerators, graph, strings
-from .errors import ResourceLimitError, ValidationError
+from .errors import ResourceLimitError
 from .polyseries import RationalGF, Ring
 from .report import Report
 
@@ -72,8 +72,7 @@ RANK_MAX_N = 5000
 
 def rank_polynomial(n):
     """Rank enumerator of R_n: sum over vertices of x^(number of ones)."""
-    if strings._require_int(n) < 0:
-        raise ValidationError("n must be nonnegative")
+    strings._require_int(n, least=0)
     if n > RANK_MAX_N:
         raise ResourceLimitError(
             "rank polynomial of R_%d refused, n is capped at %d" % (n, RANK_MAX_N)

@@ -208,12 +208,18 @@ NOT_SIZES = [2.5, "5", None, True]
         lambda: en.assemble_case_gfs(2),
         lambda: en.degree_k_series(-1, 10),
         lambda: inversions.q_polynomial(-1),
+        lambda: poset.rank_polynomial(-1),
+        lambda: embedding.dilation(0),
+        lambda: embedding.dilation(-3),
         *[partial(f, bad) for f in SIZED for bad in NOT_SIZES],
     ],
     ids=[
         "assembly",
         "degree_k",
         "q_polynomial",
+        "rank_polynomial(-1)",
+        "dilation(0)",
+        "dilation(-3)",
         *["%s(%r)" % (f.__name__, bad) for f in SIZED for bad in NOT_SIZES],
     ],
 )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from goldens import EDGE_COUNTS, R4_CENSUS
-from runcube import enumerators, graph, strings
+from runcube import cli, embedding, enumerators, graph, strings
 from runcube.errors import DomainError, ResourceLimitError, StructureError, ValidationError
 from runcube.polyseries import RationalGF
 
@@ -525,18 +525,81 @@ def test_flip_scan_table_matches_the_searchsorted_oracle(n):
         assert np.array_equal(table, want[bits][:, inside]), (a, b)
 
 
-def test_build_peak_memory_stays_under_1_9_times_its_output():
-    # the neighbour table is sorted as a view and freed before the int64
-    # copy of its entries >= 0, so it is never held twice, nor along with
-    # both copies of the indices
+def peak_bytes(call):
+    """(result of call(), peak bytes traced while it ran)."""
     tracemalloc.start()
     try:
-        g = graph.build(20)
+        result = call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_build_peak_memory_stays_under_1_9_times_its_output():
+    # measured through the first read of the CSR: the neighbour table is
+    # sorted as a view and freed before the int64 copy of its entries >= 0,
+    # so it is never held twice, nor along with both copies of the indices
+    def build_and_read_the_csr():
+        g = graph.build(20)
+        g.indices
+        return g
+
+    g, peak = peak_bytes(build_and_read_the_csr)
     arrays = (g.labels, g.indptr, g.indices, g.up_degrees, g.down_degrees)
     assert peak <= 1.9 * sum(a.nbytes for a in arrays)
+
+
+def test_edge_count_alone_peaks_under_three_quarters_of_the_csr():
+    # counting edges runs the plain flip scan: no neighbour table, no CSR
+    edges, peak = peak_bytes(lambda: graph.build(20).edge_count)
+    g = graph.build(20)
+    assert edges == g.edge_count
+    assert peak <= 0.75 * (g.indptr.nbytes + g.indices.nbytes)
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Each `_flip_scan` call from here on, as whether it was given a table."""
+    calls = []
+    scan = graph._flip_scan
+
+    def recorded(chunk, n, table=None, bits=None):
+        calls.append(table is not None)
+        return scan(chunk, n, table, bits)
+
+    monkeypatch.setattr(graph, "_flip_scan", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("fmt, table", [("text", False), ("json", True), ("dot", True)])
+def test_graph_command_scans_once(scans, capsys, fmt, table):
+    # the text summary reads only counts; JSON and dot read adjacency first
+    assert cli.main(["graph", "--n", "9", "--format", fmt]) == 0
+    capsys.readouterr()
+    assert scans == [table]
+
+
+def test_a_search_scans_once_with_a_table(scans):
+    g = graph.build(17)
+    for source in (0, g.vertex_count - 1):
+        graph.eccentricity(g, source)
+    assert g.edge_count == graph.closed_form_edge_count(17)
+    assert scans == [True]
+
+
+def test_encoding_check_reads_labels_only(scans):
+    assert embedding.encoding_check(5).ok
+    assert scans == []
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_edge_count_before_the_csr_equals_it_after(n):
+    g = graph.build(n)
+    counted = g.edge_count
+    assert g._indices is None
+    assert counted == len(g.indices) // 2 == g.edge_count
+
 
 def rank_lookup(n, masks):
     """Index of each n-bit mask among R_n's labels by the rank tables, -1 if none."""
