@@ -33,8 +33,8 @@ GF_KINDS = {
 }
 
 # Each suite takes (max_n, order), None meaning its own default.  embed
-# keeps its own max_n: its encoding check builds R_(3 max_n - 1), which a
-# --max-n sized for the other suites (12, say) would push past the vertex cap.
+# keeps its own max_n: its encoding check hosts Q_n in R_(3 max_n - 1), which
+# a --max-n sized for the other suites (12, say) would push past the vertex cap.
 VERIFY_SUITES = {
     "gf": enumerators.suite,
     "poset": poset.suite,

@@ -300,18 +300,17 @@ def _e_subtag(dec):
 
 def case_census_polynomials(m):
     """Census of full strings of length m by case tag and flip statistic."""
-    tags = {}
-    for key in ("A", "B", "C", "D", "E", "E/zero", "E/single", "E/block"):
-        tags[key] = UD.zero()
+    counts = Counter()
     for word in strings.enumerate_rc(m):
-        up, down = strings.flip_degrees(word)
-        term = UD.monomial(1, u=up, d=down)
+        stat = strings.flip_degrees(word)
         dec = strings.decompose(word)
-        tags[dec.case_tag] = tags[dec.case_tag] + term
+        counts[dec.case_tag, stat] += 1
         if dec.case_tag == "E":
-            sub = "E/" + _e_subtag(dec)
-            tags[sub] = tags[sub] + term
-    return tags
+            counts["E/" + _e_subtag(dec), stat] += 1
+    return {
+        tag: UD.poly({stat: c for (t, stat), c in counts.items() if t == tag})
+        for tag in ("A", "B", "C", "D", "E", "E/zero", "E/single", "E/block")
+    }
 
 
 def case_assembly_check(order=30, max_len=16):

@@ -689,10 +689,10 @@ def to_dot(graph):
 
 def graph_json(graph):
     edges = [[i, j] for i, j in graph.edges()]  # first, so one scan gives the degrees too
-    census = Counter(zip(graph.up_degrees.tolist(), graph.down_degrees.tolist()))
+    degrees = Counter(zip(graph.up_degrees.tolist(), graph.down_degrees.tolist()))
     return {
         "n": graph.n,
         "vertices": _words(graph.labels, graph.n),
         "edges": edges,
-        "census": [[a, b, c] for (a, b), c in sorted(census.items())],
+        "census": DegreeCensus(graph.n, degrees).to_json_dict()["counts"],
     }

@@ -19,9 +19,13 @@ x -> x q^(k+1) records.
 
 Packed x-slabs.  Q_n is held as {x-degree a: int}, the int packing the
 q-polynomial of x^a in slots of W bits (Kronecker substitution in q alone;
-A. Schoenhage, EUROCAL 1982).  W is a whole number of bytes and at least
-bitlen(f_(order+2)) + 1 wide: every coefficient counts strings, so it is
-nonnegative and below f_(order+2), and no slot can carry into the next.
+A. Schoenhage, EUROCAL 1982).  The format is polyseries' _Layout over
+(q, x), q-degrees up to order^2 / 4 and x-degrees up to order / 2, for
+coefficients up to f_(order+2): every coefficient counts strings, so it
+is nonnegative and below f_(order+2), W is a whole number of bytes with
+a spare sign bit, and no slot can carry into the next.  Slab a is the
+run of slots at x-degree a, so Q_n's slabs set side by side in one int
+are its layout packing, which _Layout.decode reads back in one pass.
 On slab a the substitution x -> x q^(k+1) multiplies by q^((k+1) a), a
 left shift by W (k+1) a bits, so one step of the recurrence adds slab a of
 Q_(n-1-2k), shifted, into slab a+k of Q_n.
@@ -44,13 +48,13 @@ enumeration; at q = 1 (the sum of a slab's slots) the polynomials
 collapse onto the rank enumerators of the vertex posets two sizes down.
 """
 
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 
 import numpy as np
 
-from . import config, graph, poset, strings
+from . import graph, poset, strings
 from .errors import DomainError, ResourceLimitError
-from .polyseries import MultiPoly, RationalGF, Ring, over_t2
+from .polyseries import MultiPoly, RationalGF, Ring, _Layout, over_t2
 from .report import Report
 
 XQ = Ring(("x", "q"))
@@ -90,7 +94,7 @@ PRINTED_Q = {
 def q_polynomial(n, cap=None):
     """Q_n(x, q) by direct enumeration of the strings of length n."""
     strings._require_int(n, least=0)
-    _refuse_enumeration(n, cap)
+    strings._refuse_enumeration(n, cap)
     if n == 0:
         return XQ.one()
     masks = graph.rc_masks(n)
@@ -112,33 +116,23 @@ def q_polynomial(n, cap=None):
     )
 
 
-def _refuse_enumeration(n, cap):
-    """Raise before any work if the strings of length n are over the vertex cap."""
-    total = strings.fibonacci(n) if n else 1
-    limit = config.vertex_cap(cap)
-    if total > limit:
-        raise ResourceLimitError(
-            "length %d needs %d strings, over the cap %d" % (n, total, limit)
-        )
-
-
 # a packed pass refuses to start when its slabs would need more bytes than
 # this; they grow about like order^4 / 32 slots
 PACKED_MAX_BYTES = 1 << 27
 
 
-def _slot_bits(order):
-    """Slot width W in bits for a pass through t^order, size-checked."""
-    bits = 8 * ((strings.fibonacci(order + 2).bit_length() + 1 + 7) // 8)
+def _slab_layout(order):
+    """The (q, x) layout of a pass through t^order, size-checked."""
     # Q_n has x-degree at most n/2 and q-degree at most n^2/4
+    layout = _Layout([order * order // 4, order // 2], strings.fibonacci(order + 2))
     slots = sum((n // 2 + 1) * (n * n // 4 + 1) for n in range(order + 1))
-    need = slots * bits // 8
+    need = slots * layout.width
     if need > PACKED_MAX_BYTES:
         raise ResourceLimitError(
             "inversion series through t^%d needs about %d bytes of packed slabs, cap is %d"
             % (order, need, PACKED_MAX_BYTES)
         )
-    return bits
+    return layout
 
 
 def _letter_step(qs, n, bits):
@@ -152,12 +146,12 @@ def _letter_step(qs, n, bits):
 
 
 def _packed_series(order):
-    """(W, [Q_0 .. Q_order]) as packed x-slabs, from the letter recurrence."""
-    bits = _slot_bits(order)
+    """(layout, [Q_0 .. Q_order]) as packed x-slabs, from the letter recurrence."""
+    layout = _slab_layout(order)
     qs = [{0: 1}]
     for n in range(1, order + 1):
-        qs.append(_letter_step(qs, n, bits))
-    return bits, qs
+        qs.append(_letter_step(qs, n, 8 * layout.width))
+    return layout, qs
 
 
 def _append_one(slabs, p, bits):
@@ -174,8 +168,9 @@ def _merge(a, b):
 
 
 def _scanned_series(order):
-    """(W, [Q_0 .. Q_order]) as packed x-slabs, by a left-to-right string scan."""
-    bits = _slot_bits(order)
+    """(layout, [Q_0 .. Q_order]) as packed x-slabs, by a left-to-right string scan."""
+    layout = _slab_layout(order)
+    bits = 8 * layout.width
     free = {0: 1}
     runs = []  # runs[r - 1]: prefixes ending in a 1-run of length r
     owed = []  # owed[m - 1]: prefixes that still owe m zeros
@@ -191,28 +186,24 @@ def _scanned_series(order):
             [_merge(r, m) for r, m in zip_longest(runs, owed[1:], fillvalue={})][:room],
         )
         out.append(free)
-    return bits, out
+    return layout, out
 
 
-def _terms(slabs, bits):
-    """Term dict {(a, b): c} of one packed Q_n."""
-    width = bits // 8
-    terms = {}
-    for a, slab in slabs.items():
-        data = slab.to_bytes(-(-slab.bit_length() // bits) * width, "little")
-        for b, at in enumerate(range(0, len(data), width)):
-            c = int.from_bytes(data[at : at + width], "little")
-            if c:
-                terms[a, b] = c
-    return terms
+def _terms(slabs, layout):
+    """Term dict {(a, b): c} of one packed Q_n, its slabs set side by side and decoded at once."""
+    # slab a starts at slot s a, so slot i holds the coefficient of x^(i // s) q^(i % s)
+    s = layout.strides[1]
+    live, coeffs = layout.decode(sum(slab << 8 * layout.width * s * a for a, slab in slabs.items()))
+    return dict(zip(map(divmod, live.tolist(), repeat(s)), coeffs))
 
 
-def _at_q_one(slabs, bits):
+def _at_q_one(slabs, layout):
     """{a: Q_n(x, 1) coefficient of x^a}: the sum of each slab's slots.
 
     Folding a slab's upper half onto its lower half keeps the slots apart,
     since every partial sum stays below the slab total, a count of strings.
     """
+    bits = 8 * layout.width
     out = {}
     for a, slab in slabs.items():
         slots = -(-slab.bit_length() // bits)
@@ -228,16 +219,16 @@ def q_polynomial_recursive(n):
     """Q_n(x, q) from the first-letter recurrence, no enumeration."""
     if n < 0:
         return XQ.zero()
-    bits, qs = _packed_series(n)
-    return MultiPoly(XQ, _terms(qs[n], bits))
+    layout, qs = _packed_series(n)
+    return MultiPoly(XQ, _terms(qs[n], layout))
 
 
 def q_series(order):
     """H(t) = sum Q_n t^n as the list Q_0 .. Q_order, from one packed pass."""
     if order < 0:
         raise DomainError("series order must be nonnegative")
-    bits, qs = _packed_series(order)
-    return [MultiPoly(XQ, _terms(s, bits)) for s in qs]
+    layout, qs = _packed_series(order)
+    return [MultiPoly(XQ, _terms(s, layout)) for s in qs]
 
 
 def q1_gf():
@@ -249,7 +240,7 @@ def q1_gf():
 def recurrence_check(n_max=18, cap=None):
     """Recurrence and printed tables against direct enumeration."""
     # the largest enumeration is refused before any other runs
-    _refuse_enumeration(n_max, cap)
+    strings._refuse_enumeration(n_max, cap)
     report = Report("inversion recurrence")
     enumerated = [q_polynomial(n, cap=cap) for n in range(n_max + 1)]
     recursive = q_series(max(n_max, max(PRINTED_Q)))
@@ -263,8 +254,8 @@ def recurrence_check(n_max=18, cap=None):
 def functional_identity_check(order=24):
     """H = 1 + t sum_k x^k t^(2k) H(x -> x q^(k+1)), truncated, on the scanned H."""
     report = Report("inversion functional identity")
-    bits, h = _scanned_series(order)
-    rhs = [{0: 1}] + [_letter_step(h, n, bits) for n in range(1, order + 1)]
+    layout, h = _scanned_series(order)
+    rhs = [{0: 1}] + [_letter_step(h, n, 8 * layout.width) for n in range(1, order + 1)]
     report.expect_series("functional identity through t^%d" % order, h, rhs)
     return report
 
@@ -275,8 +266,8 @@ def q1_specialization_check(order=24):
     # n = 0 of the rank polynomials, and dividing by t^2, need H through t^2
     # even when `order` is shorter
     top = max(order, 2)
-    bits, qs = _packed_series(top)
-    collapsed = [_at_q_one(s, bits) for s in qs]
+    layout, qs = _packed_series(top)
+    collapsed = [_at_q_one(s, layout) for s in qs]
     h1 = [MultiPoly(XQ, {(a, 0): c for a, c in q1.items()}) for q1 in collapsed]
     report.expect_series(
         "H at q = 1 equals (1 - xt^2)/(1 - t - xt^2) through t^%d" % order,

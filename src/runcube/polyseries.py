@@ -8,9 +8,10 @@ exactly, and expands one by the division recurrence.  An expansion is a
 plain list: the MultiPoly coefficients of t^0 .. t^order, which callers
 index, specialize, differentiate and compare with comprehensions.
 over_t2 takes known low terms off such a list and divides it by t^2.
-TruncatedSeries is only the same quotient on two coefficient lists
-(divide_by, and 1/(1 - s) as compose_geometric), kept because
-bench/tracer.py wraps its methods; nothing outside this module uses it.
+TruncatedSeries holds a coefficient list for the benchmark tracer, the
+package exports and the tests; its divide_by and 1/(1 - s)
+(compose_geometric) build a RationalGF and expand it, so RationalGF is
+the one entry to the quotient.
 
 Series division and the geometric inverse run on Kronecker-packed bigints
 (Kronecker substitution; D. Harvey, J. Symbolic Comput. 44 (2009)).  Each
@@ -544,13 +545,13 @@ class _Layout:
 
 
 class TruncatedSeries:
-    """The quotient recurrence on coefficient lists: `ring`, `order` and `coeffs`, t^0 .. t^order.
+    """A coefficient list in t: `ring`, `order` and `coeffs`, t^0 .. t^order.
 
-    Expansions are plain lists (RationalGF.expand); this class remains only
-    as the list-based form of the quotient, because bench/tracer.py wraps
-    __mul__, divide_by and compose_geometric.  It multiplies by a
-    scalar, divides by a series whose constant term is 1 and forms
-    1/(1 - s), all truncated at its order.
+    Expansions are plain lists (RationalGF.expand).  This class multiplies
+    one by a scalar, and its divide_by and compose_geometric build a
+    RationalGF from the lists and expand it, so the quotient has one entry.
+    It remains because bench/tracer.py wraps those three methods and
+    runcube exports it.
     """
 
     __slots__ = ("ring", "order", "coeffs")
@@ -570,15 +571,6 @@ class TruncatedSeries:
         self.order = order
         self.coeffs = coeffs
 
-    @classmethod
-    def _trusted(cls, ring, coeffs, order):
-        """A series from exactly order + 1 coefficients already known to be over `ring`."""
-        self = object.__new__(cls)
-        self.ring = ring
-        self.order = order
-        self.coeffs = coeffs
-        return self
-
     def __mul__(self, other):
         if isinstance(other, int):
             other = self.ring.const(other)
@@ -589,32 +581,20 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
+    def _table(self, order):
+        """{k: coefficient of t^k} through t^order, zero coefficients left out."""
+        return {k: c for k, c in enumerate(self.coeffs[: order + 1]) if c}
+
     def divide_by(self, den):
         """Divide by a series whose constant coefficient is 1."""
-        _check_same_ring(self, den)
         n = min(self.order, den.order)
-        if den.coeffs[0] != self.ring.one():
-            raise SeriesError(
-                "divisor constant term must be 1, got %s" % den.coeffs[0].render(),
-                index=0,
-            )
-        layout, stream = _divide(
-            lambda k: self.coeffs[k].terms, lambda k: den.coeffs[k].terms, self.ring.arity, n
-        )
-        coeffs = [MultiPoly(self.ring, layout.terms(*out)) for out in stream]
-        return TruncatedSeries._trusted(self.ring, coeffs, n)
+        quotient = RationalGF(self.ring, self._table(n), den._table(n))
+        return TruncatedSeries(self.ring, quotient.expand(n), n)
 
     def compose_geometric(self):
         """Return 1/(1 - self); requires zero constant coefficient."""
-        if self.coeffs[0]:
-            raise SeriesError(
-                "geometric composition needs zero constant term, got %s"
-                % self.coeffs[0].render(),
-                index=0,
-            )
-        one = self.ring.one()
-        den = TruncatedSeries._trusted(self.ring, [one] + [-c for c in self.coeffs[1:]], self.order)
-        return TruncatedSeries(self.ring, [one], self.order).divide_by(den)
+        inverse = RationalGF(self.ring, self._table(self.order)).geometric()
+        return TruncatedSeries(self.ring, inverse.expand(self.order), self.order)
 
 
 def over_t2(coeffs, low):
@@ -635,13 +615,13 @@ def over_t2(coeffs, low):
 def _divide(num, den, arity, order):
     """(layout, stream) of num / den through t^order.
 
-    num(k) and den(k) give the term dicts of t^k; they may be None for a
-    zero coefficient, and den(0) must be the constant 1.  The bound
-    recurrence below runs, and refuses an oversized layout, before this
-    returns; nothing of size order + 1 is built before it, so a sparse
-    rational function is refused as cheaply as a dense series.  The
-    stream then yields decode's (live, coeffs) of each coefficient as soon
-    as the division recurrence has computed it; layout.exponents and
+    num and den are {k: term dict of t^k} rows, a zero coefficient left out,
+    and den[0] is the constant 1; RationalGF._quotient is the one caller.
+    The bound recurrence below runs, and refuses an oversized layout,
+    before this returns; nothing of size order + 1 is built before it, so
+    a sparse rational function is refused as cheaply as a dense series.
+    The stream then yields decode's (live, coeffs) of each coefficient as
+    soon as the division recurrence has computed it; layout.exponents and
     layout.terms read them, whatever width the slots have by then.
     """
     # out_k = num_k - sum_j den_j * out_(k-j), so with B_k bounding the
@@ -656,10 +636,10 @@ def _divide(num, den, arity, order):
     peak = 0
     top = [0] * arity
     for k in range(order + 1):
-        terms = den(k)
+        terms = den.get(k)
         if k and terms:
             divisor.append((k, terms, _norm(terms), _degrees(terms, arity)))
-        terms = num(k) or {}
+        terms = num.get(k, {})
         bound = _norm(terms)
         deg = _degrees(terms, arity)
         for j, _, dnorm, ddeg in divisor:
@@ -700,7 +680,7 @@ def _recur(layout, limit, num, divisor, order):
     window = deque(maxlen=span)
     peaks = deque(maxlen=span)
     for k in range(order + 1):
-        terms = num(k)
+        terms = num.get(k)
         bound = max(map(abs, terms.values())) if terms else 0
         for j, dnorm in norms:
             if j > k:
@@ -909,7 +889,7 @@ class RationalGF:
         if order < 0:
             raise DomainError("series order must be nonnegative")
         num, den = map(_by_t_power, self._sides())
-        return _divide(num.get, den.get, self.ring.arity, order)
+        return _divide(num, den, self.ring.arity, order)
 
     def coefficients(self, order):
         """Iterator over the MultiPoly coefficients of t^0 .. t^order.

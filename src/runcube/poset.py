@@ -229,12 +229,6 @@ def _index_pairs(masks, up):
     return pairs
 
 
-def _comparable_pairs(n):
-    """All ordered pairs a <= b of full-string masks, smallest rank gap first."""
-    masks, up, _ = _whole(n)
-    return [(masks[i], masks[j]) for i, j in _index_pairs(masks, up)]
-
-
 def verify_boolean_intervals(n, cap=None):
     """Survey every interval of R_n against the Boolean-lattice claim.
 

@@ -227,15 +227,20 @@ def rc_masks(length):
     return levels[length]
 
 
-def enumerate_rc(length, cap=None):
-    """All run-constrained strings of a length, in ascending order."""
-    length = _require_int(length, "length", least=0)
-    total = fibonacci(length) if length >= 1 else 1
+def _refuse_enumeration(length, cap):
+    """Raise before any work if the strings of a length are over the vertex cap."""
+    total = fibonacci(length) if length else 1
     limit = config.vertex_cap(cap)
     if total > limit:
         raise ResourceLimitError(
-            "enumeration of length %d needs %d strings, cap is %d" % (length, total, limit)
+            "length %d needs %d strings, over the cap %d" % (length, total, limit)
         )
+
+
+def enumerate_rc(length, cap=None):
+    """All run-constrained strings of a length, in ascending order."""
+    length = _require_int(length, "length", least=0)
+    _refuse_enumeration(length, cap)
     return [format(m, "0%db" % length) if length else "" for m in rc_masks(length).tolist()]
 
 

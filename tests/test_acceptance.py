@@ -10,6 +10,7 @@ message, rather than being weakened until they pass.
 import time
 
 from goldens import G_PRINTED, UPDOWN_PRINTED
+from test_poset import comparable_pairs
 from runcube import embedding as emb
 from runcube import enumerators as en
 from runcube import graph, inversions, poset, strings
@@ -167,7 +168,7 @@ def test_criterion_08c_mobius_formula():
     ok = True
     detail = ""
     for n in range(1, 9):
-        for a, b in poset._comparable_pairs(n):
+        for a, b in comparable_pairs(n):
             got = poset.mobius_recursive(n, a >> 2, b >> 2)
             want = poset.mobius(n, a >> 2, b >> 2)
             if got != want:

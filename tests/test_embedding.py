@@ -42,19 +42,19 @@ def test_encode_rejects_non_strings(word):
 
 
 def test_encoding_check_reports_only_refused_labels(monkeypatch):
-    def refuse(self, label):
-        raise ValidationError("label not found in R_%d" % self.n)
+    def refuse(n, label):
+        raise ValidationError("%s is not a vertex of R_%d" % (label, n))
 
-    monkeypatch.setattr(graph.FibRunGraph, "index_of", refuse)
+    monkeypatch.setattr(graph, "_require_label", refuse)
     report = emb.encoding_check(n_max=1)
     assert not report.ok
     assert "image of 0 is not a vertex" in "\n".join(report.failures)
 
-    def broken(self, label):
-        raise RuntimeError("bug in index_of")
+    def broken(n, label):
+        raise RuntimeError("bug in _require_label")
 
     # any other exception is a bug, not a verdict on the encoder
-    monkeypatch.setattr(graph.FibRunGraph, "index_of", broken)
+    monkeypatch.setattr(graph, "_require_label", broken)
     with pytest.raises(RuntimeError):
         emb.encoding_check(n_max=1)
 

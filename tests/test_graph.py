@@ -59,6 +59,14 @@ def test_transfer_census_matches_the_flip_scan():
         assert graph.transfer_census(n).counts == graph.degree_census(n).counts
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_census_chunks_merge_to_the_transfer_census(monkeypatch, chunk):
+    # CENSUS_CHUNK is 1M, above every size here, so only a small chunk merges partial censuses
+    monkeypatch.setattr(graph, "CENSUS_CHUNK", chunk)
+    for n in range(1, 15):
+        assert graph.degree_census(n).counts == graph.transfer_census(n).counts
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_transfer_census_matches_string_flips(n):
     # independent of both the flip-scan kernel and the packed layout

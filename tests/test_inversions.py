@@ -110,21 +110,22 @@ def test_enumeration_cap():
 
 
 def test_scan_equals_packed_recurrence_through_80():
-    bits, scanned = inv._scanned_series(80)
-    assert (bits, scanned) == inv._packed_series(80)
+    layout, scanned = inv._scanned_series(80)
+    packed, qs = inv._packed_series(80)
+    assert (layout.width, scanned) == (packed.width, qs)
 
 
 def test_scan_equals_enumeration_through_18():
-    bits, scanned = inv._scanned_series(18)
+    layout, scanned = inv._scanned_series(18)
     for n, slabs in enumerate(scanned):
-        assert MultiPoly(inv.XQ, inv._terms(slabs, bits)) == inv.q_polynomial(n)
+        assert MultiPoly(inv.XQ, inv._terms(slabs, layout)) == inv.q_polynomial(n)
 
 
 def test_reading_q_one_off_the_slabs():
-    bits, qs = inv._packed_series(30)
+    layout, qs = inv._packed_series(30)
     for n, slabs in enumerate(qs):
         collapsed = inv.q_polynomial_recursive(n).evaluate_at("q", 1)
-        assert {(a, 0): c for a, c in inv._at_q_one(slabs, bits).items()} == collapsed.terms
+        assert {(a, 0): c for a, c in inv._at_q_one(slabs, layout).items()} == collapsed.terms
 
 
 def test_functional_identity_catches_a_wrong_charge(monkeypatch):

@@ -188,9 +188,15 @@ def test_survey_violation_records_are_descriptive():
     assert first["first_missing"] == "10100"
 
 
+def comparable_pairs(n):
+    """All ordered pairs a <= b of full-string masks, smallest rank gap first."""
+    masks, up, _ = poset._whole(n)
+    return [(masks[i], masks[j]) for i, j in poset._index_pairs(masks, up)]
+
+
 def test_mobius_agreement_below_five():
     for n in range(1, 5):
-        for a, b in poset._comparable_pairs(n):
+        for a, b in comparable_pairs(n):
             got = poset.mobius_recursive(n, a >> 2, b >> 2)
             assert got == poset.mobius(n, a >> 2, b >> 2)
 
@@ -198,7 +204,7 @@ def test_mobius_agreement_below_five():
 def test_mobius_mismatch_counts_from_five():
     for n, want in ((5, 3), (6, 6), (7, 16), (8, 38)):
         mismatches = 0
-        for a, b in poset._comparable_pairs(n):
+        for a, b in comparable_pairs(n):
             if poset.mobius_recursive(n, a >> 2, b >> 2) != poset.mobius(
                 n, a >> 2, b >> 2
             ):
