@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import graph, strings
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .polyseries import RationalGF, Ring, over_t2
 from .report import Report
 
@@ -162,6 +162,39 @@ def gf_degree_closed(order):
     return degree_gf().expand(order)
 
 
+def gf_up_closed(order):
+    return up_gf().expand(order)
+
+
+def gf_down_closed(order):
+    return down_gf().expand(order)
+
+
+def _once(shared, key, make):
+    """make(), made once per suite() run: `shared` is the run's dict, None outside one."""
+    if shared is None:
+        return make()
+    if key not in shared:
+        shared[key] = make()
+    return shared[key]
+
+
+def _expand(closed, order, shared):
+    """closed(order), or a prefix of closed(top), made once per suite() run.
+
+    `shared` is the run's dict, which plans {closed: top}; None outside one.
+    A top the packed-layout cap refuses is dropped from the plan, so each
+    check is refused, or not, as it would be on its own.
+    """
+    top = -1 if shared is None else shared.get(closed, -1)
+    if 0 <= order <= top:
+        try:
+            return _once(shared, (closed,), lambda: closed(top))[: order + 1]
+        except ResourceLimitError:
+            shared[closed] = -1
+    return closed(order)
+
+
 def census_polynomial(census):
     """Turn a DegreeCensus into its polynomial, sum of c * u^a d^b."""
     return UD.poly({(a, b): c for (a, b), c in census.counts.items()})
@@ -180,17 +213,17 @@ def degree_polynomial(n, cap=None):
     )
 
 
-def census_check(n_max=16, cap=None):
+def census_check(n_max=16, cap=None, _shared=None):
     """Closed forms vs. streamed censuses for 1 <= n <= n_max."""
     # the largest census is refused before any other runs
     if n_max >= 1:
         graph._vertex_total(n_max, cap, streaming=True)
     report = Report("closed forms vs census")
-    closed = gf_updown_closed(n_max)
-    closed_degree = gf_degree_closed(n_max)
+    closed = _expand(gf_updown_closed, n_max, _shared)
+    closed_degree = _expand(gf_degree_closed, n_max, _shared)
     x = DEGREE_RING.var("x")
     for n in range(1, n_max + 1):
-        poly = updown_polynomial(n, cap=cap)
+        poly = census_polynomial(_once(_shared, n, lambda: graph.degree_census(n, cap=cap)))
         report.expect_equal("up-down GF coefficient t^%d" % n, closed[n], poly)
         report.expect_equal(
             "degree GF coefficient t^%d" % n,
@@ -299,10 +332,16 @@ def _e_subtag(dec):
 
 
 def case_census_polynomials(m):
-    """Census of full strings of length m by case tag and flip statistic."""
+    """Census of full strings of length m by case tag and flip statistic.
+
+    Past m = 2 the strings are R_(m-2)'s labels then 00, which no valid flip
+    touches, so one flip scan of R_(m-2) gives their (up, down) statistics.
+    """
+    stats = [(0, 0)]  # the one string "", "0" or "00"
+    if m > 2:
+        stats = zip(*(a.tolist() for a in graph._flip_scan(graph.vertex_labels(m - 2), m - 2)))
     counts = Counter()
-    for word in strings.enumerate_rc(m):
-        stat = strings.flip_degrees(word)
+    for word, stat in zip(strings.enumerate_rc(m), stats, strict=True):
         dec = strings.decompose(word)
         counts[dec.case_tag, stat] += 1
         if dec.case_tag == "E":
@@ -313,7 +352,7 @@ def case_census_polynomials(m):
     }
 
 
-def case_assembly_check(order=30, max_len=16):
+def case_assembly_check(order=30, max_len=16, _shared=None):
     """Verify the assembly against per-case censuses and the closed form."""
     report = Report("five-case assembly")
     assembly = assemble_case_gfs(order)
@@ -333,7 +372,7 @@ def case_assembly_check(order=30, max_len=16):
     report.expect_series(
         "assembled GF equals closed form through order %d" % (order - 2),
         assembly.gf,
-        gf_updown_closed(order - 2),
+        _expand(gf_updown_closed, order - 2, _shared),
     )
     return report
 
@@ -352,7 +391,12 @@ def _word_exponents(word):
 
 
 def word_sum_identity_check(n_max=12):
-    """Brute-force the boundary-letter sums over all middle words."""
+    """Brute-force the boundary-letter sums over all middle words.
+
+    Each middle word is read once.  Words with the same end letters and
+    monomial keep equal monomials between any boundary letters, since a
+    monomial is a product over letters and adjacent pairs: one stands for all.
+    """
     report = Report("word-sum identities")
     alpha = WORD_RING.var("alpha")
     beta = WORD_RING.var("beta")
@@ -367,14 +411,20 @@ def word_sum_identity_check(n_max=12):
     }
     sums = {key: [] for key in closed_heads}
     for n in range(n_max + 1):
-        words = ["".join(w) for w in product("ab", repeat=n)]
+        classes = {}
+        for w in map("".join, product("ab", repeat=n)):
+            classes.setdefault((w[:1], w[-1:], _word_exponents(w)), [w, 0])[1] += 1
+        power = step ** n
         for (first, last), head in closed_heads.items():
-            brute = WORD_RING.poly(Counter(_word_exponents(first + w + last) for w in words))
+            tally = Counter()
+            for w, size in classes.values():
+                tally[_word_exponents(first + w + last)] += size
+            brute = WORD_RING.poly(tally)
             sums[(first, last)].append(brute)
             report.expect_equal(
                 "sum over %s w %s, |w| = %d" % (first, last, n),
                 brute,
-                head * step ** n,
+                head * power,
             )
     # the same identity summed over all middle-word lengths at once
     geom = RationalGF(WORD_RING, {1: step}).geometric().expand(n_max)
@@ -390,17 +440,18 @@ def word_sum_identity_check(n_max=12):
 # specializations and consequences
 
 
-def specialize_checks(order=40):
+def specialize_checks(order=40, _shared=None):
     """The four printed specializations of the up-down GF."""
     report = Report("specializations")
-    base = gf_updown_closed(order)
+    closed = lambda expander: _expand(expander, order, _shared)
+    base = closed(gf_updown_closed)
     x = DEGREE_RING.var("x")
     # the printed prefix is checked in full even when `order` is shorter
     maximal = maximal_gf().expand(max(order, len(MAXIMAL_PREFIX)))
     for label, ring, images, want in (
-        ("u := 1 gives the down-degree GF", UD, {"u": 1}, down_gf().expand(order)),
-        ("d := 1 gives the up-degree GF", UD, {"d": 1}, up_gf().expand(order)),
-        ("u, d := x gives the degree GF", DEGREE_RING, {"u": x, "d": x}, degree_gf().expand(order)),
+        ("u := 1 gives the down-degree GF", UD, {"u": 1}, closed(gf_down_closed)),
+        ("d := 1 gives the up-degree GF", UD, {"d": 1}, closed(gf_up_closed)),
+        ("u, d := x gives the degree GF", DEGREE_RING, {"u": x, "d": x}, closed(gf_degree_closed)),
         ("u := 0, d := 1 gives the maximal-count GF", SCALAR, {"u": 0, "d": 1}, maximal),
     ):
         report.expect_series(label, [c.map_onto(ring, images) for c in base], want)
@@ -410,16 +461,16 @@ def specialize_checks(order=40):
     return report
 
 
-def edge_gf_check(order=40, brute_max=12):
+def edge_gf_check(order=40, brute_max=12, _shared=None):
     """Edge-count GF from both degree derivatives plus the closed formula."""
     report = Report("edge generating function")
     edges = [c.constant_term() for c in edge_gf().expand(order)]
     # a MultiPoly equals an int only when it is that constant
-    down = [c.partial_derivative("d") for c in down_gf().expand(order)]
+    down = [c.partial_derivative("d") for c in _expand(gf_down_closed, order, _shared)]
     report.expect_series(
         "d-derivative of down GF at d=1", [c.evaluate_at("d", 1) for c in down], edges
     )
-    up = [c.partial_derivative("u") for c in up_gf().expand(order)]
+    up = [c.partial_derivative("u") for c in _expand(gf_up_closed, order, _shared)]
     report.expect_series(
         "u-derivative of up GF at u=1", [c.evaluate_at("u", 1) for c in up], edges
     )
@@ -433,7 +484,11 @@ def edge_gf_check(order=40, brute_max=12):
         edges[5 : top + 1],
         start=5,
     )
-    brute = [0] + [graph.edge_count(n) for n in range(1, min(brute_max, order) + 1)]
+    brute = [0] + [
+        graph.edge_count(n) if _shared is None
+        else _once(_shared, n, lambda: graph.degree_census(n)).edge_total()
+        for n in range(1, min(brute_max, order) + 1)
+    ]
     report.expect_series("census edge counts through n=%d" % min(brute_max, order), brute, edges)
     return report
 
@@ -467,12 +522,12 @@ DEGREE_K_LAWS = {
 }
 
 
-def degree_k_law_check(order=40):
+def degree_k_law_check(order=40, _shared=None):
     """Printed prefixes and eventual laws for the degree-k counts."""
     report = Report("degree-k counts")
     # the printed prefixes are checked in full even when `order` is shorter
     top = max(start + len(prefix) - 1 for start, prefix in DEGREE_K_PREFIXES.values())
-    series = gf_degree_closed(max(order, top))
+    series = _expand(gf_degree_closed, max(order, top), _shared)
     for k, (n0, law) in DEGREE_K_LAWS.items():
         seq = _degree_k_counts(series, k)
         if k in DEGREE_K_PREFIXES:
@@ -522,9 +577,9 @@ def _pk_probe(k, order, coeffs):
     return PkProbe(k, order, coeffs, bound, observed, residual)
 
 
-def pk_probe_check(k_max=4, order=40):
+def pk_probe_check(k_max=4, order=40, _shared=None):
     report = Report("degree-k polynomial-form probe")
-    series = gf_degree_closed(order)
+    series = _expand(gf_degree_closed, order, _shared)
     for k in range(k_max + 1):
         probe = _pk_probe(k, order, _degree_k_counts(series, k))
         report.add(
@@ -535,12 +590,12 @@ def pk_probe_check(k_max=4, order=40):
     return report
 
 
-def recurrence_check(n_max=40):
+def recurrence_check(n_max=40, _shared=None):
     """The linear recurrence satisfied by g_n for n >= 12."""
     if n_max < 12:
         raise DomainError("recurrence starts at n = 12")
     report = Report("degree polynomial recurrence")
-    g = gf_degree_closed(n_max)
+    g = _expand(gf_degree_closed, n_max, _shared)
     x = DEGREE_RING.var("x")
     rhs = [
         x * g[n - 1]
@@ -560,17 +615,25 @@ def recurrence_check(n_max=40):
 def suite(max_n=None, order=None):
     """Every verification report this module offers, in a fixed order.
 
-    None means the defaults max_n = 14 and order = 30.
+    None means the defaults max_n = 14 and order = 30.  The checks share one
+    expansion per closed form, at the largest order asked, and one scan per R_n.
     """
     max_n = 14 if max_n is None else max_n
     order = 30 if order is None else order
+    # the largest order any check below asks of each closed form
+    shared = {
+        gf_updown_closed: max(max_n, order),
+        gf_degree_closed: max(max_n, order, 40),
+        gf_up_closed: order,
+        gf_down_closed: order,
+    }
     return [
-        census_check(n_max=max_n),
-        case_assembly_check(order=max(order, 3), max_len=min(max_n + 2, 16)),
+        census_check(n_max=max_n, _shared=shared),
+        case_assembly_check(order=max(order, 3), max_len=min(max_n + 2, 16), _shared=shared),
         word_sum_identity_check(n_max=min(max_n, 12)),
-        specialize_checks(order=order),
-        edge_gf_check(order=order),
-        degree_k_law_check(order=max(order, 18)),
-        pk_probe_check(k_max=4, order=max(order, 40)),
-        recurrence_check(n_max=max(order, 12)),
+        specialize_checks(order=order, _shared=shared),
+        edge_gf_check(order=order, _shared=shared),
+        degree_k_law_check(order=max(order, 18), _shared=shared),
+        pk_probe_check(k_max=4, order=max(order, 40), _shared=shared),
+        recurrence_check(n_max=max(order, 12), _shared=shared),
     ]

@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -64,9 +65,9 @@ def test_five_case_assembly():
 
 
 def test_case_census_covers_everything():
-    from runcube import strings
-
-    for m in (6, 9, 12):
+    # the census reads its flips off a flip scan of R_(m-2); the per-word
+    # string oracle checks it at every length, the graphless m = 1, 2 included
+    for m in range(1, 15):
         tags = en.case_census_polynomials(m)
         total = tags["A"] + tags["B"] + tags["C"] + tags["D"] + tags["E"]
         whole = en.UD.zero()
@@ -255,7 +256,7 @@ def test_caps_may_be_numpy_integers(call):
     [
         (lambda: [en.pk_probe_check(k_max=6, order=40)], 1),
         (lambda: [en.degree_k_law_check(order=30)], 1),
-        (lambda: en.suite(max_n=8, order=16), 4),
+        (lambda: en.suite(max_n=8, order=16), 1),
     ],
     ids=["pk_probe", "degree_k_law", "suite"],
 )
@@ -270,6 +271,50 @@ def test_each_check_expands_the_degree_gf_once(monkeypatch, check, want):
     monkeypatch.setattr(en, "gf_degree_closed", counted)
     assert all(r.ok for r in check())
     assert len(calls) == want
+
+
+def test_suite_expands_each_closed_form_once(monkeypatch):
+    # each expansion is counted under the constructor that made its GF; the
+    # made GFs are kept, so no other GF can reuse one of their ids
+    made = {}
+
+    def tagged(name, make):
+        def constructor():
+            gf = make()
+            made[id(gf)] = (name, gf)
+            return gf
+
+        return constructor
+
+    names = ("updown_gf", "degree_gf", "up_gf", "down_gf")
+    for name in names:
+        monkeypatch.setattr(en, name, tagged(name, getattr(en, name)))
+    counts = Counter()
+    expand = RationalGF.expand
+
+    def counted(self, order):
+        counts[made.get(id(self), ("other",))[0]] += 1
+        return expand(self, order)
+
+    monkeypatch.setattr(RationalGF, "expand", counted)
+    assert all(r.ok for r in en.suite(max_n=12, order=40))
+    assert {name: counts[name] for name in names} == dict.fromkeys(names, 1)
+    # a second run makes the same calls: nothing is kept between runs
+    first = dict(counts)
+    counts.clear()
+    en.suite(max_n=12, order=40)
+    assert counts == first
+
+
+def test_suite_is_refused_where_its_checks_are():
+    # the run's one up-down expansion, at order 100000, is over the packed
+    # layout cap; census_check must not be refused for it, so the run stops
+    # in the assembly with the assembly's own message, as each check alone does
+    with pytest.raises(ResourceLimitError) as alone:
+        en.case_assembly_check(order=100000, max_len=6)
+    with pytest.raises(ResourceLimitError) as run:
+        en.suite(max_n=4, order=100000)
+    assert str(run.value) == str(alone.value)
 
 
 def test_combined_e_form_matches_parts():

@@ -283,6 +283,21 @@ def test_interval_and_mobius_reports_fail_honestly():
     assert any("00100" in line for line in rep.failures)
 
 
+def test_mobius_is_boolean_or_zero():
+    # on every comparable pair of R_n, n <= 14, the recursion gives
+    # (-1)^(rank difference) when the interval is Boolean and 0 when it is not,
+    # so the two false claims fail on exactly the same pairs
+    for n in range(1, 15):
+        masks, up, down = poset._whole(n)
+        pairs = poset._index_pairs(masks, up)
+        bad = set(poset._violations(masks, up, down, pairs))
+        mus = [poset._mobius_from(up, down, i) for i in range(len(masks))]
+        for i, j in pairs:
+            want = 0 if (i, j) in bad else (-1) ** (masks[j] ^ masks[i]).bit_count()
+            assert mus[i][j] == want, (n, i, j)
+        assert len(bad) == POSET_VIOLATIONS[n]
+
+
 # slack None sets the cap to 1 byte, otherwise to the bytes needed plus slack
 @pytest.mark.parametrize("slack", [None, -1, 0], ids=["one", "need-1", "need"])
 @pytest.mark.parametrize(
