@@ -485,8 +485,7 @@ def edge_gf_check(order=40, brute_max=12, _shared=None):
         start=5,
     )
     brute = [0] + [
-        graph.edge_count(n) if _shared is None
-        else _once(_shared, n, lambda: graph.degree_census(n)).edge_total()
+        _once(_shared, n, lambda: graph.degree_census(n)).edge_total()
         for n in range(1, min(brute_max, order) + 1)
     ]
     report.expect_series("census edge counts through n=%d" % min(brute_max, order), brute, edges)
