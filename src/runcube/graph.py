@@ -7,16 +7,21 @@ single bit (validity of a flip is always decided on the full string,
 label + "00").  |V(R_n)| is the Fibonacci number f_{n+2}.
 
 Vertex labels are kept as sorted int64 bitmasks (most significant bit =
-first character).  Whether a flipped label is a vertex, and where it sits
-among the sorted labels, is read off two-level rank tables over the run
-rule (`_rank_tables`), two gathers and an add per probe.  One kernel,
-`_flip_scan`, makes those passes for a `FibRunGraph`'s degrees and
-adjacency (and `poset`'s reachability), for the brute census
-`degree_census`, and for `_maximal_by_flip_scan`, the oracle of
+first character).  A `FibRunGraph`'s degrees are read off the label
+construction itself (`_labels_and_degrees`): each string carries a flip
+word, updated by the table `FLIP_STEPS` as each letter goes in front, so
+degrees and edge counts need no scan.  Whether a flipped label is a
+vertex, and where it sits among the sorted labels, is read off two-level
+rank tables over the run rule (`_rank_tables`), two gathers and an add
+per probe.  One kernel, `_flip_scan`, makes those passes for a
+`FibRunGraph`'s adjacency (and `poset`'s reachability), and for the
+oracles: the brute census `degree_census`, the per-case census of
+`enumerators`, and `_maximal_by_flip_scan`, the oracle of
 `maximal_vertices`.  For the adjacency it writes each label's neighbour
 across each bit, -1 for none; one in-place sort per vertex row then puts
 the CSR adjacency lists in ascending order.  `build` makes only the
-labels; the graph scans on the first read of its degrees or adjacency.
+labels; the graph makes its degrees, or scans for its adjacency, on the
+first read of each.
 
 Distances come from one bit-parallel, direction-optimizing BFS kernel,
 `bfs_levels`; `bfs_distances`, `eccentricity`, `diameter`, `radius` and
@@ -54,6 +59,8 @@ from . import config
 from .errors import DomainError, ResourceLimitError, StructureError, ValidationError
 from .polyseries import _Layout
 from .strings import (
+    _MASKS,
+    _rc_levels,
     _require_int,
     _require_int64,
     fibonacci,
@@ -204,13 +211,58 @@ def _flip_scan(chunk, n, table=None, bits=None):
     return ups, degrees - ups
 
 
+# How the letter in front changes a run-constrained string's flip word:
+# its up- and down-degree, z0, its leading run of zeros capped at 2, and f,
+# whether the block after that run has slack >= 1.  The empty string's word
+# is all 0.  A row (r, z0, f, a, b, z0', f') adds a up- and b down-flips
+# when the letter of size r (2 for any r >= 2) goes in front of a string in
+# state (z0, f), and moves it to (z0', f').  A 0 in front lengthens the
+# leading run: from its third zero on each one is an up-flip, and its first
+# zero pairs with a first block of slack >= 1 for one more.  A block
+# 1^r 0^(r+1) in front takes the old leading run as its slack.
+FLIP_STEPS = (
+    (0, 0, 0, 0, 0, 1, 0), (0, 0, 1, 1, 0, 1, 1),
+    (0, 1, 0, 0, 0, 2, 0), (0, 1, 1, 0, 0, 2, 1),
+    (0, 2, 0, 1, 0, 2, 0), (0, 2, 1, 1, 0, 2, 1),
+    (1, 0, 0, 0, 1, 0, 0), (1, 0, 1, 0, 1, 0, 0),
+    (1, 1, 0, 0, 1, 0, 1), (1, 1, 1, 0, 1, 0, 1),
+    (1, 2, 0, 1, 1, 0, 1), (1, 2, 1, 1, 1, 0, 1),
+    (2, 0, 0, 0, 2, 0, 0), (2, 0, 1, 0, 2, 0, 0),
+    (2, 1, 0, 0, 2, 0, 1), (2, 1, 1, 0, 2, 0, 1),
+    (2, 2, 0, 1, 2, 0, 1), (2, 2, 1, 1, 2, 0, 1),
+)
+
+
+def _labels_and_degrees(n):
+    """R_n's sorted labels and their uint8 (up, down) flip degrees, with no scan.
+
+    One pass of the label construction carries each string's flip word as
+    a uint16, up << 8 | down << 3 | z0 + 3f, and puts a letter in front by
+    adding its FLIP_STEPS row for the word's state, read at call time.  A
+    label's flips are those of its full string, whose trailing 00 no valid
+    flip touches.
+    """
+    steps = np.zeros((3, 8), dtype=np.uint16)
+    for r, z0, f, a, b, z1, f1 in FLIP_STEPS:
+        # a state that goes down wraps around, as the uint16 add does
+        steps[r, z0 + 3 * f] = (a << 8) + (b << 3) + (z1 + 3 * f1 - z0 - 3 * f) & 0xFFFF
+
+    def prepend(words, L, r, out):
+        np.add(words, steps[min(r, 2)].take(words & 7), out=out)
+
+    masks, words = _rc_levels(n + 2, [_MASKS, (np.uint16, prepend)])
+    return masks >> np.int64(2), (words >> 8).astype(np.uint8), ((words >> 3) & 31).astype(np.uint8)
+
+
 class FibRunGraph:
     """Explicit R_n: sorted labels, with degrees and CSR adjacency made on first read.
 
-    The degrees come from a plain flip scan.  The CSR comes from a scan that
-    fills a neighbour table, which also gives the degrees; so a caller that
-    reads only counts never holds the table, and one that reads adjacency
-    pays one scan.  Arrays passed in are used as they are.
+    The degrees come from the label construction (`_labels_and_degrees`),
+    which makes no scan; reading the degrees of labels that are not exactly
+    R_n's raises StructureError.  The CSR comes from a scan that fills a
+    neighbour table, so a caller that reads only counts never holds the
+    table, and one that reads adjacency pays one scan.  Arrays passed in
+    are used as they are.
     """
 
     def __init__(self, n, labels, indptr=None, indices=None, up_degrees=None, down_degrees=None):
@@ -239,11 +291,14 @@ class FibRunGraph:
 
     def _degrees(self):
         if self._up_degrees is None:
-            self._up_degrees, self._down_degrees = _flip_scan(self.labels, self.n)
+            labels, ups, downs = _labels_and_degrees(self.n)
+            if not np.array_equal(labels, self.labels):
+                raise StructureError("the labels of this graph are not those of R_%d" % self.n)
+            self._up_degrees, self._down_degrees = ups, downs
         return self._up_degrees, self._down_degrees
 
     def _csr(self):
-        """(indptr, indices), with the degrees, from one neighbour-table scan."""
+        """(indptr, indices) from one neighbour-table scan."""
         if self._indices is None:
             n, labels = self.n, self.labels
             table = np.empty((n, len(labels)), dtype=_index_type(n))
@@ -255,7 +310,6 @@ class FibRunGraph:
             indices = table[table >= 0]
             del table  # freed first, so the int64 copy is never made beside the table
             self._indptr, self._indices = indptr, indices.astype(np.int64)
-            self._up_degrees, self._down_degrees = ups, downs
         return self._indptr, self._indices
 
     @property
@@ -688,8 +742,9 @@ def to_dot(graph):
 
 
 def graph_json(graph):
-    edges = [[i, j] for i, j in graph.edges()]  # first, so one scan gives the degrees too
+    # the degrees come from the construction, the edges from one neighbour-table scan
     degrees = Counter(zip(graph.up_degrees.tolist(), graph.down_degrees.tolist()))
+    edges = [[i, j] for i, j in graph.edges()]
     return {
         "n": graph.n,
         "vertices": _words(graph.labels, graph.n),

@@ -197,34 +197,52 @@ def _require_int64(length):
         raise DomainError("masks of length %d do not fit in int64" % length)
 
 
-def rc_masks(length):
-    """Sorted int64 masks of all run-constrained strings of a length.
+def _rc_levels(length, columns):
+    """The run-constrained strings of a length, ascending, as one array per column.
 
     Built bottom up: level L is level L-1 behind a leading zero, then each
     letter 1^r 0^(r+1) in front of level L-2r-1.  Prefixes are emitted in
     increasing numeric order, so the result is ascending without a sort.
-    Each level is filled into one preallocated array, and the last level
-    reads only the levels of the other parity, so the rest are dropped
-    before it is built: the peak is about twice the result.
-    Lengths of 64 or more would wrap int64 and raise DomainError.
+    A column is (dtype, prepend): the empty string is 0 in it, and
+    prepend(part, L, r, out) writes into `out` the values of the strings of
+    `part` behind the letter of size r, at length L.  Each level is filled
+    into one preallocated array per column, and the last level reads only
+    the levels of the other parity, so the rest are dropped before it is
+    built: the peak is about twice the result.
     """
     if length < 0:
         raise DomainError("length must be nonnegative")
     _require_int64(length)
-    levels = [np.zeros(1, dtype=np.int64)]
+    levels = [[np.zeros(1, dtype) for dtype, _ in columns]]
     for L in range(1, length + 1):
         if L == length:
             for i in range(L % 2, L, 2):
                 levels[i] = None
-        parts = [(levels[L - 1], 0)]
-        parts += [(levels[L - 2 * r - 1], ((1 << r) - 1) << (L - r)) for r in range(1, (L + 1) // 2)]
-        out = np.empty(sum(len(part) for part, _ in parts), np.int64)
+        parts = [(r, levels[L - 2 * r - 1]) for r in range((L + 1) // 2)]
+        outs = [np.empty(sum(len(part[0]) for _, part in parts), dtype) for dtype, _ in columns]
         at = 0
-        for part, head in parts:
-            np.add(part, head, out=out[at : at + len(part)])
-            at += len(part)
-        levels.append(out)
+        for r, part in parts:
+            for (_, prepend), values, out in zip(columns, part, outs):
+                prepend(values, L, r, out[at : at + len(values)])
+            at += len(part[0])
+        levels.append(outs)
     return levels[length]
+
+
+def _prepend_to_masks(masks, L, r, out):
+    np.add(masks, ((1 << r) - 1) << (L - r), out=out)
+
+
+# the int64 bitmask of each string, most significant bit first
+_MASKS = (np.int64, _prepend_to_masks)
+
+
+def rc_masks(length):
+    """Sorted int64 masks of all run-constrained strings of a length, from `_rc_levels`.
+
+    Lengths of 64 or more would wrap int64 and raise DomainError.
+    """
+    return _rc_levels(length, [_MASKS])[0]
 
 
 def _refuse_enumeration(length, cap):

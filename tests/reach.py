@@ -57,9 +57,13 @@ def test_maximal_vertices_match_the_flip_scan():
 
 def test_build_csr_matches_census_closed_form_and_is_symmetric():
     # R_25 .. R_27, beyond tier-1's n <= 24 and its lexsort oracle's n <= 20;
-    # the transfer automaton flips no bit
+    # the transfer automaton flips no bit, and the degrees, which come from
+    # the label construction, must equal the plain flip scan's (tier-1: n <= 20)
     for n in range(25, 28):
         g = graph.build(n)
+        ups, downs = graph._flip_scan(g.labels, n)
+        assert np.array_equal(g.up_degrees, ups), "R_%d up-degrees" % n
+        assert np.array_equal(g.down_degrees, downs), "R_%d down-degrees" % n
         census = Counter(zip(g.up_degrees.tolist(), g.down_degrees.tolist()))
         assert dict(census) == graph.transfer_census(n).counts, "R_%d" % n
         assert g.edge_count == graph.closed_form_edge_count(n), "R_%d" % n
@@ -74,8 +78,8 @@ def test_build_csr_matches_census_closed_form_and_is_symmetric():
 
 def test_graph_summary_at_the_vertex_cap_stays_under_200_mb():
     # n = 29, the largest n under the default vertex cap; under 200 MB only
-    # while the summary counts edges from the flip scan alone and builds no
-    # adjacency (about 336 MB when it did)
+    # while the summary counts edges from the label construction alone and
+    # builds no adjacency (about 336 MB when it did)
     code, out, peak_mb = run_child(["graph", "--n", "29"])
     edges = graph.closed_form_edge_count(29)
     assert (code, out) == (0, "n: 29\nvertices: %d\nedges: %d\n" % (strings.fibonacci(31), edges))

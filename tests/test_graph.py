@@ -559,7 +559,8 @@ def test_build_peak_memory_stays_under_1_9_times_its_output():
 
 
 def test_edge_count_alone_peaks_under_three_quarters_of_the_csr():
-    # counting edges runs the plain flip scan: no neighbour table, no CSR
+    # counting edges reads the degrees off the label construction: no flip
+    # scan, no neighbour table, no CSR
     edges, peak = peak_bytes(lambda: graph.build(20).edge_count)
     g = graph.build(20)
     assert edges == g.edge_count
@@ -582,10 +583,11 @@ def scans(monkeypatch):
 
 @pytest.mark.parametrize("fmt, table", [("text", False), ("json", True), ("dot", True)])
 def test_graph_command_scans_once(scans, capsys, fmt, table):
-    # the text summary reads only counts; JSON and dot read adjacency first
+    # the text summary reads only counts, which the label construction gives
+    # without a scan; JSON and dot read adjacency, one neighbour-table scan
     assert cli.main(["graph", "--n", "9", "--format", fmt]) == 0
     capsys.readouterr()
-    assert scans == [table]
+    assert scans == ([True] if table else [])
 
 
 def test_a_search_scans_once_with_a_table(scans):
@@ -599,6 +601,51 @@ def test_a_search_scans_once_with_a_table(scans):
 def test_encoding_check_reads_labels_only(scans):
     assert embedding.encoding_check(5).ok
     assert scans == []
+
+
+def construction_differs_from_the_flip_scan():
+    """The first n <= 20 where the label construction's labels or (up, down)
+    differ from `vertex_labels` and the plain flip scan, or None."""
+    for n in range(1, 21):
+        built = graph._labels_and_degrees(n)
+        labels = graph.vertex_labels(n)
+        scanned = (labels, *graph._flip_scan(labels, n))
+        if not all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(built, scanned)):
+            return n
+    return None
+
+
+def test_construction_degrees_match_the_flip_scan():
+    assert construction_differs_from_the_flip_scan() is None
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        # the pair term [z0 = 0] f of a 0 in front dropped
+        lambda row: (0, 0, 1, 0, 0, 1, 1) if row == (0, 0, 1, 1, 0, 1, 1) else row,
+        # min(r, 1) down-flips per block in place of min(r, 2)
+        lambda row: row[:4] + (min(row[4], 1),) + row[5:],
+    ],
+    ids=["pair_term_dropped", "d_for_d2"],
+)
+def test_a_changed_flip_step_fails_the_flip_scan(monkeypatch, mutate):
+    steps = tuple(map(mutate, graph.FLIP_STEPS))
+    assert steps != graph.FLIP_STEPS
+    monkeypatch.setattr(graph, "FLIP_STEPS", steps)
+    assert construction_differs_from_the_flip_scan() is not None
+
+
+def test_degrees_of_labels_other_than_r_n_are_refused():
+    labels = graph.vertex_labels(9)
+    changed = labels.copy()
+    changed[5] += 1
+    for wrong in (labels[:-1], labels[1:], changed, graph.vertex_labels(8)):
+        g = graph.FibRunGraph(9, wrong)
+        with pytest.raises(StructureError, match="not those of R_9"):
+            g.edge_count
+        with pytest.raises(StructureError, match="not those of R_9"):
+            g.down_degrees
 
 
 @pytest.mark.parametrize("n", range(1, 21))
