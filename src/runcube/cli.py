@@ -14,6 +14,7 @@ JSON output always carries "schema": 1 and is deterministic.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -254,7 +255,14 @@ def _add_format(parser, choices=("text", "json")):
     parser.add_argument("--format", choices=choices, default="text")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.
+
+    Parsing never changes it, and no command changes a parsed default in
+    place (verify's `suites` default is an empty tuple), so every main()
+    call can share it.
+    """
     parser = argparse.ArgumentParser(
         prog="runcube",
         description="Exact statistics and generating functions of Fibonacci-run graphs.",
@@ -281,7 +289,7 @@ def build_parser():
     p.set_defaults(func=cmd_gf)
 
     p = sub.add_parser("verify", help="run verification suites")
-    p.add_argument("suites", nargs="*", default=[], metavar="suite")
+    p.add_argument("suites", nargs="*", default=(), metavar="suite")
     p.add_argument("--all", action="store_true")
     p.add_argument("--max-n", type=_positive, default=None)
     p.add_argument("--order", type=_positive, default=None)

@@ -26,20 +26,25 @@ Packing is a ring homomorphism, so those sums may carry across slots and
 only out_k itself must fit them: before step k the slots must hold
 max|num_k| + sum_j |den_j|_1 max|out_(k-j)|, the maxima read off the
 coefficients already decoded.  The slots start one byte wide, and when
-that bound outgrows them they widen by about a quarter and the few packed
-coefficients kept are repacked, byte-wise through numpy (for `updown` at
-order 100, 9-byte slots where a bound on the 1-norms asks for 17).
+that bound outgrows them they widen to 2, 4 or 8 bytes, past 8 by about a
+quarter, and the few packed coefficients kept are repacked through numpy
+(for `updown` at order 100, 10-byte slots where a bound on the 1-norms
+asks for 17).
 The recurrence is a stream: it yields the coefficient of t^k as soon as it
 has computed it and keeps only the packed coefficients later steps read,
 so RationalGF.coefficients lets a caller write each coefficient and drop
 it, and RationalGF.expand collects the stream into a list.
 RationalGF.graded_terms yields each coefficient straight from the
-decoded slots, as exponent columns and ints put in graded lex order by one
-numpy lexsort, which `runcube gf` formats without building a MultiPoly,
-by render_columns, the formatter MultiPoly.render calls too.
-Unpacking reads only the slots up to the highest nonzero one, adds
-2^(w-1) to each, reads their bytes once through numpy and converts the
-slots that differ from that bias in one pass.  Packing shifts by
+decoded slots, as exponent columns and ints in graded lex order (over two
+or more variables one numpy lexsort, over one the slot order already),
+which `runcube gf` formats without building a MultiPoly, by
+render_columns, the formatter MultiPoly.render calls too.
+Unpacking a value of fewer bits than one slot takes the value itself as
+the coefficient of slot 0.  Otherwise it reads only the slots up to the
+highest nonzero one, adds 2^(w-1) to each and reads their bytes once
+through numpy: slots of 1, 2, 4 or 8 bytes as one signed integer array,
+wider ones byte-wise, converting the slots that differ from that bias in
+one pass.  Packing shifts by
 exponents, so a Ring refuses negative ones.  A quotient whose
 whole series (order + 1 packed coefficients) would take more than
 PACKED_MAX_BYTES is refused with ResourceLimitError before anything is
@@ -441,6 +446,26 @@ def _refuse_oversized(degrees, bound, order):
         )
 
 
+# slot widths, in bytes, that numpy reads as one integer each
+_VIEW_WIDTHS = (1, 2, 4, 8)
+# decode's live slots of a value that fits slot 0, and of zero
+_SLOT_0 = np.zeros(1, dtype=np.intp)
+_NO_SLOTS = np.zeros(0, dtype=np.intp)
+_SLOT_0.flags.writeable = _NO_SLOTS.flags.writeable = False
+
+
+def _bias(width, slots):
+    """2^(8 width - 1) in each of `slots` slots of `width` bytes."""
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * slots, "little")
+
+
+def _unbiased(data, width):
+    """_biased's bytes in slots of `width` bytes (1, 2, 4 or 8) as signed ints, bias removed."""
+    dtype = np.dtype("<i%d" % width)
+    # the bias is the top bit of each slot: flipping it back leaves c
+    return np.frombuffer(data, dtype=dtype) ^ np.iinfo(dtype).min
+
+
 class _Layout:
     """Kronecker layout of one polynomial over one ring, in one int.
 
@@ -479,7 +504,7 @@ class _Layout:
         return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
     def _biased(self, value):
-        """The low live slots of value, each plus 2^(8w-1), as a (slots, w) byte array.
+        """The low live slots of value, each plus 2^(8w-1), as little-endian bytes.
 
         Every slot, w = width bytes wide, holds a coefficient below 2^(8w-2)
         in absolute value, so when slot m is the highest nonzero one,
@@ -487,26 +512,34 @@ class _Layout:
         |value|.bit_length() // 8w + 1 slots hold every term, and adding
         2^(8w-1) to each of them leaves each slot's biased coefficient in
         its own w bytes, an empty slot reading as low bytes 0 and top byte
-        0x80.
+        0x80.  By the same count a value of fewer than 8w bits is slot 0
+        alone, its own coefficient.
         """
         w = self.width
         slots = min(abs(value).bit_length() // (8 * w) + 1, self.block)
         size = w * slots
-        half = 1 << (8 * w - 1)
-        bias = int.from_bytes(half.to_bytes(w, "little") * slots, "little")
-        data = ((value + bias) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        return np.frombuffer(data, dtype=np.uint8).reshape(-1, w)
+        return ((value + _bias(w, slots)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
 
     def decode(self, value):
         """(live, coeffs) of a packed value.
 
-        live is the ascending numpy array of nonzero slots and coeffs the
-        list of their coefficients.  Only the live low end of the value is
-        read, once, through numpy (_biased), and the slots that differ from
-        the bias become ints in one pass.
+        live is the ascending numpy array of nonzero slots (a shared
+        read-only one for zero and for a value that fits slot 0) and coeffs
+        the list of their coefficients.  A value that fits slot 0 is its
+        own coefficient, read with no numpy call.  Otherwise only the live low
+        end of the value is read, once (_biased): slots of 1, 2, 4 or 8
+        bytes as one signed integer array, wider ones byte-wise, the slots
+        that differ from the bias becoming ints in one pass.
         """
         w = self.width
-        rows = self._biased(value)
+        if abs(value).bit_length() < 8 * w:
+            return (_SLOT_0, [value]) if value else (_NO_SLOTS, [])
+        data = self._biased(value)
+        if w in _VIEW_WIDTHS:
+            slots = _unbiased(data, w)
+            live = np.flatnonzero(slots)
+            return live, slots[live].tolist()
+        rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, w)
         live = np.flatnonzero(rows[:, :-1].any(axis=1) | (rows[:, -1] != 0x80))
         words = np.frombuffer(rows, "V%d" % w)[live].tolist()
         half = 1 << (8 * w - 1)
@@ -515,20 +548,30 @@ class _Layout:
     def widened(self, value, width):
         """A value packed at this layout's width, repacked in wider slots.
 
-        With b = c + 2^(8w-1) the biased slot, c + 2^(8W-1) in W > w bytes
-        has b's low w bytes with the top bit flipped, then the sign
-        extension of c with the top bit flipped again.
+        A value that fits slot 0 is the same int at any width.  Between two
+        of the widths 1, 2, 4 and 8, the signed slots are cast to the wider
+        integer and biased again.  Otherwise, with b = c + 2^(8w-1) the
+        biased slot, c + 2^(8W-1) in W > w bytes has b's low w bytes with
+        the top bit flipped, then the sign extension of c with the top bit
+        flipped again.
         """
         w = self.width
-        rows = self._biased(value)
-        wide = np.zeros((len(rows), width), dtype=np.uint8)
-        wide[:, :w] = rows
-        wide[:, w - 1] ^= 0x80
-        wide[rows[:, -1] < 0x80, w:] = 0xFF
-        wide[:, -1] ^= 0x80
-        half = 1 << (8 * width - 1)
-        bias = int.from_bytes(half.to_bytes(width, "little") * len(rows), "little")
-        return int.from_bytes(wide.tobytes(), "little") - bias
+        if abs(value).bit_length() < 8 * w:
+            return value
+        data = self._biased(value)
+        slots = len(data) // w
+        if w in _VIEW_WIDTHS and width in _VIEW_WIDTHS:
+            wide = np.dtype("<i%d" % width)
+            data = (_unbiased(data, w).astype(wide) ^ np.iinfo(wide).min).tobytes()
+        else:
+            rows = np.frombuffer(data, dtype=np.uint8).reshape(-1, w)
+            wide = np.zeros((slots, width), dtype=np.uint8)
+            wide[:, :w] = rows
+            wide[:, w - 1] ^= 0x80
+            wide[rows[:, -1] < 0x80, w:] = 0xFF
+            wide[:, -1] ^= 0x80
+            data = wide.tobytes()
+        return int.from_bytes(data, "little") - _bias(width, slots)
 
     def exponents(self, live):
         """One numpy array per variable: the exponents of the slots in `live`."""
@@ -667,8 +710,9 @@ def _recur(layout, limit, num, divisor, order):
     itself has to fit them: |out_k| is at most max|num_k| + sum_j
     |den_j|_1 * max|out_(k-j)|, the maxima read off the coefficients
     already decoded.  When that outgrows the slots, they widen by about a
-    quarter (at least to what the bound needs, never past `limit`) and the
-    window is repacked.
+    quarter and at least to what the bound needs, rounded up to 2, 4 or 8
+    bytes below 8 so decode reads them as one integer view, never past
+    `limit`, and the window is repacked.
     """
     groups = {}
     for j, terms, _, _ in divisor:
@@ -688,7 +732,10 @@ def _recur(layout, limit, num, divisor, order):
             bound += dnorm * peaks[-j]
         need = _slot_bytes(bound)
         if need > layout.width:
-            width = min(max(need, (5 * layout.width + 3) // 4), limit)
+            width = max(need, (5 * layout.width + 3) // 4)
+            if width < 8:
+                width = 1 << (width - 1).bit_length()  # 2, 4 or 8: one view each
+            width = min(width, limit)
             window = deque((layout.widened(v, width) for v in window), maxlen=span)
             layout.width = width
         bits = 8 * layout.width
@@ -718,9 +765,10 @@ def _graded(cols, coeffs):
 
     cols holds one numpy exponent array per variable; lexsort's last key
     is its primary one, so the keys run from the total degree back to the
-    first variable.
+    first variable.  Over one variable or none, ascending slots are
+    already in that order, so nothing is sorted.
     """
-    if cols and len(coeffs) > 1:
+    if len(cols) > 1 and len(coeffs) > 1:
         order = np.lexsort(cols[::-1] + [sum(cols)])
         cols = [col[order] for col in cols]
         coeffs = [coeffs[i] for i in order.tolist()]

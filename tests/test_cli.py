@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tracemalloc
 from unittest import mock
@@ -710,3 +711,105 @@ def test_json_output_is_deterministic(capsys):
     _, first, _ = run(["census", "--n", "8", "--format", "json"], capsys)
     _, second, _ = run(["census", "--n", "8", "--format", "json"], capsys)
     assert first == second
+
+
+# --- one parser per process ----------------------------------------------------
+
+
+def in_process(argv):
+    """(exit code, stdout, stderr) of main(argv) in this process, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def fresh_process(argv):
+    """(exit code, stdout, stderr) of `python -m runcube.cli argv` in a new interpreter."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("RUNCUBE_")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "runcube.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_calls_in_a_row_match_fresh_processes():
+    # the parser is built once and shared: after verify calls that named
+    # suites or ran them all, `verify` alone still asks for a suite, and a
+    # usage error after successful calls still exits 2 with argparse's message
+    calls = [
+        ["verify", "inv", "--format", "json"],
+        ["verify", "--all", "--max-n", "5"],
+        ["verify"],
+        ["gf", "--kind", "rank", "--order", "5"],
+        ["gf", "--kind", "bogus"],
+        ["inv"],
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    got = [in_process(argv) for argv in calls]
+    assert got == [fresh_process(argv) for argv in calls]
+    assert [code for code, _, _ in got] == [0, 1, 2, 0, 2, 2]
+
+
+# --- fuzzing the command line ---------------------------------------------------
+
+
+def option(flag, values):
+    """[] or [flag, value] with value drawn from `values`."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+N = st.integers(-1, 10).map(lambda n: ["--n", str(n)])
+SOME_N = option("--n", st.integers(-1, 10))
+ORDER = option("--order", st.integers(-1, 20))
+FORMAT = option("--format", st.sampled_from(["text", "json", "dot", "xml", ""]))
+CAP = option("--vertex-cap", st.integers(-1, 200))
+LABEL = st.sampled_from(["", "0", "1x", "00100", "11100", "0000000000"])
+
+
+def concat(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+def cli_calls():
+    """argv lists over every command, valid and invalid, each small enough to run at once."""
+    actions = lambda *names: st.sampled_from([[]] + [[name] for name in names])
+    return st.one_of(
+        concat(st.just(["graph"]), N, CAP, FORMAT),
+        concat(st.just(["census"]), N, CAP, FORMAT),
+        concat(st.just(["gf"]), option("--kind", st.sampled_from(sorted(cli.GF_KINDS) + ["bogus"])),
+               ORDER, FORMAT),
+        concat(st.just(["verify"]), st.lists(st.sampled_from(sorted(cli.VERIFY_SUITES) + ["bogus"]),
+                                             max_size=2),
+               actions("--all"), option("--max-n", st.integers(-1, 6)), ORDER, FORMAT),
+        concat(st.just(["poset"]), actions("rank", "maximal", "mobius", "intervals"), N,
+               option("--bottom", LABEL), option("--top", LABEL), CAP, FORMAT),
+        concat(st.just(["inv"]), actions("show", "verify"), SOME_N,
+               option("--max", st.integers(-1, 10)), CAP, FORMAT),
+        concat(st.just(["embed"]), actions("encode", "host"),
+               option("--word", st.text(alphabet="01a", max_size=6)), SOME_N,
+               option("--max-n", st.integers(-1, 6)), CAP, FORMAT),
+        # dilation hosts Q_n in R_(3n - 1): n = 10 takes R_29 and seconds
+        concat(st.just(["embed", "dilation"]), option("--n", st.integers(-1, 6)), CAP, FORMAT),
+    )
+
+
+# unset half the time, so that most calls get past the caps
+ENV_CAP = st.one_of(st.none(), st.sampled_from(["0", "7", "abc", "-1"]))
+
+
+@given(cli_calls(), ENV_CAP, ENV_CAP)
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_calls_exit_0_1_or_2_without_a_traceback(argv, vertex_cap, stream_cap):
+    with mock.patch.dict(os.environ):
+        for name, value in [("RUNCUBE_VERTEX_CAP", vertex_cap), ("RUNCUBE_STREAM_CAP", stream_cap)]:
+            os.environ.pop(name, None)
+            if value is not None:
+                os.environ[name] = value
+        code, _, err = in_process(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err

@@ -494,7 +494,10 @@ def test_widening_slots_match_naive_recurrence(case):
     got, widths = streamed_widths(gf, order)
     assert got == naive_quotient(num, den, order)
     assert widths == sorted(widths)
-    assert widths[-1] <= a_priori_width(num, den, order)
+    limit = a_priori_width(num, den, order)
+    assert widths[-1] <= limit
+    # below 8 bytes the slots are numpy integer widths, unless the bound caps them
+    assert {w for w in widths if w < 8} <= {1, 2, 4, limit}
     biggest = max((abs(c) for t in got for c in t.values()), default=0)
     if biggest >> 64:
         # nine bytes at least, from one, at most about two bytes a step
@@ -529,7 +532,10 @@ def packed_polys(draw):
     """
     arity = draw(st.integers(0, 3))
     degrees = draw(st.lists(st.integers(0, 6), min_size=arity, max_size=arity))
-    bound = draw(st.one_of(st.sampled_from([1, 63, 64, 2 ** 62, 2 ** 200]), st.integers(1, 2 ** 90)))
+    bound = draw(st.one_of(
+        st.sampled_from([1, 63, 64, 2 ** 30 - 1, 2 ** 62 - 1, 2 ** 62, 2 ** 200]),
+        st.integers(1, 2 ** 90),
+    ))
     layout = polyseries._Layout(degrees, bound)
     corner = [draw(st.integers(0, d)) for d in degrees]
     coeff = st.one_of(st.sampled_from([-bound, -1, 1, bound]), st.integers(-bound, bound))
@@ -549,11 +555,14 @@ def test_layout_round_trip(case):
 @settings(max_examples=200, deadline=None)
 def test_widened_value_is_the_wider_packing(case, extra):
     layout, terms = case
-    wide = copy.copy(layout)
-    wide.width += extra
-    value = layout.widened(layout.pack(terms), wide.width)
-    assert value == wide.pack(terms)
-    assert wide.unpack(value) == terms
+    value = layout.pack(terms)
+    # any wider slots, and each of 2, 4 and 8 bytes above the layout's own
+    for width in {layout.width + extra} | {w for w in (2, 4, 8) if w > layout.width}:
+        wide = copy.copy(layout)
+        wide.width = width
+        widened = layout.widened(value, width)
+        assert widened == wide.pack(terms)
+        assert wide.unpack(widened) == terms
 
 
 @pytest.mark.parametrize(
@@ -567,6 +576,15 @@ def test_widened_value_is_the_wider_packing(case, extra):
         ([3], 5, [{(0,): -1, (2,): 1}]),
         ([40, 40], 2 ** 64, [{(0, 0): -(2 ** 64)}]),  # one slot of a 1681-slot box
         ([2], 1, [{(1,): -1}, {}, {(0,): 1, (2,): -1}]),  # one-byte slots, negative top slot
+    ]
+    + [
+        # widths 1 to 9: one-slot values out to the widest a slot holds, then
+        # |value| = 2^(8w) - 1, the fewest bits a second live slot leaves
+        ([3], 2 ** (8 * w - 2) - 1, [
+            {(0,): 2 ** (8 * w - 2) - 1}, {(0,): 1 - 2 ** (8 * w - 2)}, {}, {(0,): -1},
+            {(0,): 1, (1,): -1}, {(0,): -1, (1,): 1}, {(0,): 2 ** (8 * w - 2) - 1, (3,): -1},
+        ])
+        for w in range(1, 10)
     ],
 )
 def test_layout_round_trip_edges(degrees, bound, blocks):
@@ -574,6 +592,26 @@ def test_layout_round_trip_edges(degrees, bound, blocks):
     layout = polyseries._Layout(degrees, bound)
     for terms in blocks:
         assert layout.unpack(layout.pack(terms)) == terms
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_one_slot_values_read_without_numpy(monkeypatch, width):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError("a value that fits slot 0 reached numpy")
+
+    top = 2 ** (8 * width - 2) - 1  # the widest coefficient a slot of this width holds
+    layout = polyseries._Layout([3, 3], top)
+    assert layout.width == width
+    monkeypatch.setattr(polyseries, "np", NoNumpy())
+    for c in (top, -top, 1, -1):
+        assert layout.decode(c)[1] == [c]
+        assert layout.decode(c)[0].tolist() == [0]
+        assert layout.widened(c, width + 3) == c
+    assert layout.decode(0)[0].tolist() == layout.decode(0)[1] == []
+    # a second live slot leaves at least 8w bits, and takes the array path
+    with pytest.raises(AssertionError, match="slot 0"):
+        layout.decode(1 - 2 ** (8 * width))
 
 
 # --- substitution kernel: map_onto, substitute and evaluate_at ----------------
