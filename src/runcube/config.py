@@ -4,7 +4,8 @@ Explicit keyword arguments win over environment variables, which win over
 the built-in defaults.  The environment variables are
 
     RUNCUBE_VERTEX_CAP   largest vertex count for explicit graph objects
-    RUNCUBE_STREAM_CAP   largest vertex count for streaming censuses
+    RUNCUBE_STREAM_CAP   largest vertex count for streaming censuses, and
+                         the work bound of cube counts and dilations
 
 and each must hold a nonnegative integer; any other value raises
 ConfigError, which the command line reports as a usage error.  A cap

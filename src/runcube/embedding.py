@@ -19,8 +19,8 @@ from itertools import groupby
 
 import numpy as np
 
-from . import graph, strings
-from .errors import DomainError, StructureError, ValidationError
+from . import config, graph, strings
+from .errors import DomainError, ResourceLimitError, StructureError, ValidationError
 from .polyseries import RationalGF, Ring
 from .report import Report
 
@@ -116,9 +116,20 @@ def dilation(n, cap=None):
     The images run through the bit-parallel BFS 64 at a time.  For image v
     and each bit it lacks, the distance to the image of v | 1 << bit is the
     level at which that target first shows v's bit.  The worst edge is the
-    first maximum with v ascending, then bit ascending.
+    first maximum with v ascending, then bit ascending.  Each pass may read
+    every arc of the host, so the work is refused before the host is built
+    when that many arc visits pass the streaming cap (R_2, the host of
+    Q_1, needs no bound).
     """
     strings._require_int(n, least=1)
+    graph._vertex_total(3 * n - 1, cap)
+    if n > 1:
+        work = -(-(1 << n) // graph.BFS_WIDTH) * 2 * graph.closed_form_edge_count(3 * n - 1)
+        limit = config.stream_cap(None)
+        if work > limit:
+            raise ResourceLimitError(
+                "dilation for n=%d needs about %d arc visits, cap is %d" % (n, work, limit)
+            )
     g = graph.build(3 * n - 1, cap=cap)
     words = [format(v, "0%db" % n) for v in range(1 << n)]
     image = np.array([g.index_of(encode(word).label) for word in words], dtype=np.int64)

@@ -7,50 +7,43 @@ single bit (validity of a flip is always decided on the full string,
 label + "00").  |V(R_n)| is the Fibonacci number f_{n+2}.
 
 Vertex labels are kept as sorted int64 bitmasks (most significant bit =
-first character).  A `FibRunGraph`'s degrees are read off the label
-construction itself (`_labels_and_degrees`): each string carries a flip
-word, updated by the table `FLIP_STEPS` as each letter goes in front, so
-degrees and edge counts need no scan.  Whether a flipped label is a
-vertex, and where it sits among the sorted labels, is read off two-level
-rank tables over the run rule (`_rank_tables`), two gathers and an add
-per probe.  One kernel, `_flip_scan`, makes those passes for a
-`FibRunGraph`'s adjacency (and `poset`'s reachability), and for the
-oracles: the brute census `degree_census`, the per-case census of
-`enumerators`, and `_maximal_by_flip_scan`, the oracle of
-`maximal_vertices`.  For the adjacency it writes each label's neighbour
-across each bit, -1 for none; one in-place sort per vertex row then puts
-the CSR adjacency lists in ascending order.  `build` makes only the
-labels; the graph makes its degrees, or scans for its adjacency, on the
-first read of each.
+first character).  Whether a flipped label is a vertex, and where it sits
+among the sorted labels, is read off two-level rank tables over the run
+rule (`_rank_tables`), two gathers and an add per probe.  One kernel,
+`_flip_scan`, makes those passes for a `FibRunGraph`'s adjacency (and
+`poset`'s reachability), and for the oracles: the brute census
+`degree_census`, the per-case census of `enumerators`, and
+`_maximal_by_flip_scan`, the oracle of `maximal_vertices`.  For the
+adjacency it writes each label's neighbour across each bit, -1 for none;
+one in-place sort per vertex row then puts the CSR adjacency lists in
+ascending order.  `build` makes only the labels; the graph makes its
+degrees, or scans for its adjacency, on the first read of each.
 
-Distances come from one bit-parallel, direction-optimizing BFS kernel,
-`bfs_levels`; `bfs_distances`, `eccentricity`, `diameter`, `radius` and
-`embedding.dilation` all read their answers off its levels.
-
-`census --n N` does not scan at all: `transfer_census` reads the census
-off a finite automaton over runs (the transfer-matrix method, Stanley,
-Enumerative Combinatorics 1, section 4.7).  Write a run-constrained
-string as a leading run 0^z0 followed by blocks 1^r 0^(r+1+s), r >= 1,
-slack s >= 0.  Its flip degrees are then
+Degrees need no scan.  Write a run-constrained string as a leading run
+0^z0 followed by blocks 1^r 0^(r+1+s), r >= 1, slack s >= 0.  Its flip
+degrees are then
 
     down:  d per block with r = 1, d^2 per block with r >= 2;
     up:    u^max(0, z0-2) from the leading run, u^max(0, s-1) from each
            block's zero run, and one more u for each pair of adjacent zero
            runs that both have slack >= 1 (for the leading run: z0 >= 1).
 
-`RUN_ARCS` states the automaton these rules give; `_transfer_pass` runs
-it on Kronecker-packed ints (`polyseries._Layout`).
+Two tables state this rule, one per use.  `RUN_ARCS` is a finite
+automaton over runs (the transfer-matrix method, Stanley, Enumerative
+Combinatorics 1, section 4.7), which `transfer_census` runs for `census
+--n N` on Kronecker-packed ints (`polyseries._Layout`).  `FLIP_STEPS`
+updates a string's flip word as the label construction puts a letter in
+front: it gives each vertex's degrees (`_labels_and_degrees`) and, kept
+to up-degree 0, the maximal vertices (`maximal_vertices`).
 
-The same rule gives the maximal vertices, those with up-degree 0, without
-a scan: the leading run has z0 <= 2, every block has slack s <= 1, and no
-two adjacent zero runs both have slack 1 (the leading run counting as
-slack 1 when z0 >= 1).  `maximal_vertices` builds exactly those strings,
-bottom up like `strings.rc_masks`, so its work grows with its output.
+Distances come from one bit-parallel, direction-optimizing BFS kernel,
+`bfs_levels`; `bfs_distances`, `eccentricity`, `diameter`, `radius` and
+`embedding.dilation` all read their answers off its levels.
 """
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import add
 
 import numpy as np
@@ -62,7 +55,6 @@ from .strings import (
     _MASKS,
     _rc_levels,
     _require_int,
-    _require_int64,
     fibonacci,
     mask_is_run_constrained,
     mask_to_word,
@@ -233,24 +225,34 @@ FLIP_STEPS = (
 )
 
 
+@lru_cache(maxsize=None)
+def _step_table(steps):
+    """A FLIP_STEPS table as the uint16 adds to a flip word, by (min(r, 2), z0 + 3f)."""
+    table = np.zeros((3, 8), dtype=np.uint16)
+    for r, z0, f, a, b, z1, f1 in steps:
+        # a state that goes down wraps around, as the uint16 add does
+        table[r, z0 + 3 * f] = (a << 8) + (b << 3) + (z1 + 3 * f1 - z0 - 3 * f) & 0xFFFF
+    table.flags.writeable = False
+    return table
+
+
+def _prepend_flip_words(words, L, r, out):
+    np.add(words, _step_table(FLIP_STEPS)[min(r, 2)].take(words & 7), out=out)
+
+
+# each string's flip word, up << 8 | down << 3 | z0 + 3f, updated by FLIP_STEPS
+# as read at each letter; every row has a >= 0, so an up-0 word's suffixes have up 0
+_FLIP_WORDS = (np.uint16, _prepend_flip_words)
+
+
 def _labels_and_degrees(n):
     """R_n's sorted labels and their uint8 (up, down) flip degrees, with no scan.
 
-    One pass of the label construction carries each string's flip word as
-    a uint16, up << 8 | down << 3 | z0 + 3f, and puts a letter in front by
-    adding its FLIP_STEPS row for the word's state, read at call time.  A
-    label's flips are those of its full string, whose trailing 00 no valid
-    flip touches.
+    One pass of the label construction carries each string's flip word
+    (`_FLIP_WORDS`).  A label's flips are those of its full string, whose
+    trailing 00 no valid flip touches.
     """
-    steps = np.zeros((3, 8), dtype=np.uint16)
-    for r, z0, f, a, b, z1, f1 in FLIP_STEPS:
-        # a state that goes down wraps around, as the uint16 add does
-        steps[r, z0 + 3 * f] = (a << 8) + (b << 3) + (z1 + 3 * f1 - z0 - 3 * f) & 0xFFFF
-
-    def prepend(words, L, r, out):
-        np.add(words, steps[min(r, 2)].take(words & 7), out=out)
-
-    masks, words = _rc_levels(n + 2, [_MASKS, (np.uint16, prepend)])
+    masks, words = _rc_levels(n + 2, [_MASKS, _FLIP_WORDS])
     return masks >> np.int64(2), (words >> 8).astype(np.uint8), ((words >> 3) & 31).astype(np.uint8)
 
 
@@ -646,42 +648,17 @@ def radius(graph):
     return int(_eccentricities(graph).min())
 
 
-def _maximal_masks(length):
-    """Ascending masks of the run-constrained strings of a length with no up-flip.
-
-    tail[L][f] holds the block sequences of length L that may follow a zero
-    run of slack class f (0, or 1 for slack >= 1), ascending.  A block
-    1^r 0^(r+1+s) has s <= 1, and s = 0 after slack class 1; its masks
-    grow with r and, at one r, s = 1 puts a 0 where s = 0 has the next
-    block's leading 1.  So blocks emitted by r ascending, then s descending,
-    give ascending masks, as do leading runs z0 = 2, 1, 0 in front.
-    """
-    _require_int64(length)
-    empty = np.zeros(0, dtype=np.int64)
-    tail = [[np.zeros(1, dtype=np.int64)] * 2]
-    for L in range(1, length + 1):
-        row = []
-        for f in (0, 1):
-            parts = []
-            for r in range(1, (L - 1) // 2 + 1):
-                for s in (0,) if f else (1, 0):
-                    rest = L - 2 * r - 1 - s
-                    if rest >= 0:
-                        head = ((1 << r) - 1) << (r + 1 + s + rest)
-                        parts.append(np.int64(head) + tail[rest][s])
-            row.append(np.concatenate(parts) if parts else empty)
-        tail.append(row)
-    return np.concatenate([tail[length - z0][min(z0, 1)] for z0 in (2, 1, 0) if z0 <= length])
-
-
 def maximal_vertices(n, cap=None):
     """Labels with up-degree zero, ascending (the poset's maximal elements).
 
-    Enumerated from the run rule in the module docstring, without a scan;
-    R_n must still fit the streaming cap, as it did for the flip scan.
+    The label construction of `_labels_and_degrees`, keeping at each length
+    only the strings whose flip word has up = 0, so it makes no scan and its
+    work grows with its output.  R_n must still fit the streaming cap, as it
+    did for the flip scan.
     """
     _vertex_total(n, cap, streaming=True)
-    return _words(_maximal_masks(n + 2) >> np.int64(2), n)
+    masks, _ = _rc_levels(n + 2, [_MASKS, _FLIP_WORDS], keep=lambda outs: outs[1] < 256)
+    return _words(masks >> np.int64(2), n)
 
 
 def _maximal_by_flip_scan(n, cap=None):

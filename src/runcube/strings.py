@@ -191,13 +191,7 @@ def _require_int(value, name="n", least=None):
     return int(value)
 
 
-def _require_int64(length):
-    """Raise DomainError unless masks of this length fit in int64."""
-    if length >= 64:
-        raise DomainError("masks of length %d do not fit in int64" % length)
-
-
-def _rc_levels(length, columns):
+def _rc_levels(length, columns, keep=None):
     """The run-constrained strings of a length, ascending, as one array per column.
 
     Built bottom up: level L is level L-1 behind a leading zero, then each
@@ -208,11 +202,15 @@ def _rc_levels(length, columns):
     `part` behind the letter of size r, at length L.  Each level is filled
     into one preallocated array per column, and the last level reads only
     the levels of the other parity, so the rest are dropped before it is
-    built: the peak is about twice the result.
+    built: the peak is about twice the result.  `keep(outs)`, if given,
+    masks each level once it is filled.  The longer levels are built on the
+    kept strings only, so the property kept must pass from a string to its
+    suffixes; a masked level stays ascending.
     """
     if length < 0:
         raise DomainError("length must be nonnegative")
-    _require_int64(length)
+    if length >= 64:
+        raise DomainError("masks of length %d do not fit in int64" % length)
     levels = [[np.zeros(1, dtype) for dtype, _ in columns]]
     for L in range(1, length + 1):
         if L == length:
@@ -225,6 +223,9 @@ def _rc_levels(length, columns):
             for (_, prepend), values, out in zip(columns, part, outs):
                 prepend(values, L, r, out[at : at + len(values)])
             at += len(part[0])
+        if keep is not None:
+            kept = keep(outs)
+            outs = [out[kept] for out in outs]
         levels.append(outs)
     return levels[length]
 

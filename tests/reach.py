@@ -50,7 +50,8 @@ def test_poset_surveys_fail_only_the_two_false_claims(capsys):
 
 
 def test_maximal_vertices_match_the_flip_scan():
-    # the run-rule enumerator on R_25 .. R_28, beyond tier-1's n <= 24
+    # the label construction kept to up-degree 0, on R_25 .. R_28, beyond
+    # tier-1's n <= 24
     for n in range(25, 29):
         assert graph.maximal_vertices(n) == graph._maximal_by_flip_scan(n), "R_%d" % n
 

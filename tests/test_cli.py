@@ -701,6 +701,27 @@ def test_embed_dilation(capsys):
     assert payload["dilation"]["host_dim"] == 5
 
 
+def test_embed_dilation_past_the_stream_cap_is_refused_before_the_host(monkeypatch, capsys):
+    # Q_3 in R_8: one pass of 8 sources over 2 * 120 arcs
+    monkeypatch.setenv("RUNCUBE_STREAM_CAP", "240")
+    assert run(["embed", "dilation", "--n", "3"], capsys)[0] == 0
+    # R_2, the host of Q_1, has no bound
+    monkeypatch.setenv("RUNCUBE_STREAM_CAP", "0")
+    assert run(["embed", "dilation", "--n", "1"], capsys)[0] == 0
+
+    def no_host(*args, **kwargs):
+        raise AssertionError("the host was built before the work bound")
+
+    monkeypatch.setattr(graph, "build", no_host)
+    monkeypatch.setenv("RUNCUBE_STREAM_CAP", "239")
+    refused = "error: dilation for n=3 needs about 240 arc visits, cap is 239\n"
+    assert run(["embed", "dilation", "--n", "3"], capsys) == (2, "", refused)
+    monkeypatch.delenv("RUNCUBE_STREAM_CAP")
+    # Q_10 in R_29: 16 passes of 64 sources over 2 * 9,609,355 arcs
+    refused = "error: dilation for n=10 needs about 307499360 arc visits, cap is 50000000\n"
+    assert run(["embed", "dilation", "--n", "10"], capsys) == (2, "", refused)
+
+
 def test_embed_host(capsys):
     code, payload = run_json(["embed", "host", "--max-n", "4"], capsys)
     assert code == 0
@@ -793,7 +814,7 @@ def cli_calls():
         concat(st.just(["embed"]), actions("encode", "host"),
                option("--word", st.text(alphabet="01a", max_size=6)), SOME_N,
                option("--max-n", st.integers(-1, 6)), CAP, FORMAT),
-        # dilation hosts Q_n in R_(3n - 1): n = 10 takes R_29 and seconds
+        # dilation hosts Q_n in R_(3n - 1): n = 9 takes R_26 and seconds
         concat(st.just(["embed", "dilation"]), option("--n", st.integers(-1, 6)), CAP, FORMAT),
     )
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from goldens import EDGE_COUNTS, R4_CENSUS
-from runcube import cli, embedding, enumerators, graph, strings
+from runcube import cli, config, embedding, enumerators, graph, strings
 from runcube.errors import DomainError, ResourceLimitError, StructureError, ValidationError
 from runcube.polyseries import RationalGF
 
@@ -89,19 +89,20 @@ def test_transfer_census_matches_the_closed_form_to_150():
         assert census.counts == closed[n].terms, n
 
 
-def run_arcs_gf(ring, weight):
-    """sum_k (F0[k] + F1[k]) t^k of graph.RUN_ARCS, exactly, as a RationalGF.
+def solve_arcs(ring, arcs, start, order):
+    """Each state's sum over paths from `start`, exactly, as a RationalGF.
 
-    Each state X solves X = [X is S] + sum over its arcs of
-    weight(a, b) t^length X_source.  Gauss-Jordan elimination in the table's
-    order (one geometric per self-loop) leaves every state a rational
-    function, with no truncation.
+    Each state X solves X = [X is start] + sum over its arcs (X, source,
+    weight) of weight X_source.  Gauss-Jordan elimination in `order` (one
+    geometric per self-loop) leaves every state a rational function, with
+    no truncation.  The order sets only the cost.
     """
-    rows = {"S": {None: RationalGF(ring, {0: 1})}}
-    for target, source, length, a, b in graph.RUN_ARCS:
-        row = rows.setdefault(target, {})
-        row[source] = row.get(source, 0) + RationalGF(ring, {length: weight(a, b)})
-    for state in rows:
+    rows = {state: {} for state in order}
+    rows[start][None] = RationalGF(ring, {0: 1})
+    for target, source, weight in arcs:
+        row = rows[target]
+        row[source] = row.get(source, 0) + weight
+    for state in order:
         row = rows[state]
         if state in row:
             scale = row.pop(state).geometric()
@@ -111,24 +112,59 @@ def run_arcs_gf(ring, weight):
                 factor = other.pop(state)
                 for key, value in row.items():
                     other[key] = other.get(key, 0) + factor * value
-    return rows["F0"][None] + rows["F1"][None]
+    return {state: row[None] for state, row in rows.items()}
 
 
-def updown_difference():
+def run_arcs_gf(ring, weight):
+    """sum_k (F0[k] + F1[k]) t^k of graph.RUN_ARCS, in the table's order.
+
+    An arc (target, source, length, a, b) weighs weight(a, b) t^length.
+    """
+    arcs = [
+        (t, s, RationalGF(ring, {length: weight(a, b)})) for t, s, length, a, b in graph.RUN_ARCS
+    ]
+    order = list(dict.fromkeys(["S"] + [arc[0] for arc in graph.RUN_ARCS]))
+    states = solve_arcs(ring, arcs, "S", order)
+    return states["F0"] + states["F1"]
+
+
+# the elimination order of the flip-step automaton: solving its states in
+# table order takes seconds, this order milliseconds
+FLIP_ORDER = ((0, 0), (1, 0), (2, 1), (2, 0), (1, 1), (0, 1))
+
+
+def flip_steps_gf(ring, weight):
+    """sum over all run-constrained strings of weight(up, down) t^length, from graph.FLIP_STEPS.
+
+    Read as an automaton on the states (z0, f) from (0, 0), the empty
+    string: a row (r, z0, f, a, b, z0', f') is an arc into (z0', f') of
+    weight(a, b) times the letter's t^length, t for 0, t^3 for 100 and
+    t^5 / (1 - t^2) for all the letters with r >= 2 together.
+    """
+    t = lambda k: RationalGF(ring, {k: 1})
+    letters = {0: t(1), 1: t(3), 2: t(5) * t(2).geometric()}
+    arcs = [
+        ((z1, f1), (z0, f), letters[r] * RationalGF(ring, {0: weight(a, b)}))
+        for r, z0, f, a, b, z1, f1 in graph.FLIP_STEPS
+    ]
+    return sum(solve_arcs(ring, arcs, (0, 0), FLIP_ORDER).values())
+
+
+def updown_difference(table_gf=run_arcs_gf):
     """The table's GF minus 1 + t + t^2 + t^2 updown_gf().
 
     The strings of length 0, 1 and 2 come first, then R_n at t^(n+2).
     """
     ring = enumerators.UD
-    table = run_arcs_gf(ring, lambda a, b: ring.monomial(1, u=a, d=b))
+    table = table_gf(ring, lambda a, b: ring.monomial(1, u=a, d=b))
     lead = RationalGF(ring, {0: 1, 1: 1, 2: 1})
     return table - lead - RationalGF(ring, {2: 1}) * enumerators.updown_gf()
 
 
-def maximal_difference():
+def maximal_difference(table_gf=run_arcs_gf):
     """As updown_difference at u := 0, d := 1, which keeps the strings with no up-flip."""
     ring = enumerators.SCALAR
-    table = run_arcs_gf(ring, lambda a, b: int(a == 0))
+    table = table_gf(ring, lambda a, b: int(a == 0))
     lead = RationalGF(ring, {0: 1, 1: 1, 2: 1})
     return table - lead - RationalGF(ring, {2: 1}) * enumerators.maximal_gf()
 
@@ -137,6 +173,12 @@ def test_run_arcs_solve_to_the_printed_closed_form():
     # polynomial identities in t, u and d, so they hold for every n
     assert updown_difference().num == {}
     assert maximal_difference().num == {}
+
+
+def test_flip_steps_solve_to_the_printed_closed_form():
+    # as for RUN_ARCS: every string's (up, down) from the table, for every n
+    assert updown_difference(flip_steps_gf).num == {}
+    assert maximal_difference(flip_steps_gf).num == {}
 
 
 @pytest.mark.parametrize(
@@ -433,10 +475,14 @@ def test_maximal_vertices_match_the_flip_scan():
         assert graph.maximal_vertices(n) == graph._maximal_by_flip_scan(n), n
 
 
-def test_maximal_vertex_counts_match_the_gf_to_30():
-    counts = [c.constant_term() for c in enumerators.maximal_gf().expand(30)]
-    for n in range(1, 31):
-        assert len(graph.maximal_vertices(n)) == counts[n], n
+def test_maximal_vertices_ascend_and_match_the_gf_to_36():
+    # R_36 is the largest R_n under the default stream cap
+    assert strings.fibonacci(38) <= config.stream_cap() < strings.fibonacci(39)
+    counts = [c.constant_term() for c in enumerators.maximal_gf().expand(36)]
+    for n in range(1, 37):
+        labels = graph.maximal_vertices(n)
+        assert len(labels) == counts[n], n
+        assert all(a < b for a, b in zip(labels, labels[1:])), n
 
 
 def test_maximal_gf_counts_the_up_degree_zero_census_to_150():
@@ -620,20 +666,27 @@ def test_construction_degrees_match_the_flip_scan():
 
 
 @pytest.mark.parametrize(
-    "mutate",
+    "mutate, up_changed",
     [
         # the pair term [z0 = 0] f of a 0 in front dropped
-        lambda row: (0, 0, 1, 0, 0, 1, 1) if row == (0, 0, 1, 1, 0, 1, 1) else row,
+        (lambda row: (0, 0, 1, 0, 0, 1, 1) if row == (0, 0, 1, 1, 0, 1, 1) else row, True),
         # min(r, 1) down-flips per block in place of min(r, 2)
-        lambda row: row[:4] + (min(row[4], 1),) + row[5:],
+        (lambda row: row[:4] + (min(row[4], 1),) + row[5:], False),
     ],
     ids=["pair_term_dropped", "d_for_d2"],
 )
-def test_a_changed_flip_step_fails_the_flip_scan(monkeypatch, mutate):
+def test_a_changed_flip_step_fails_the_flip_scan(monkeypatch, mutate, up_changed):
     steps = tuple(map(mutate, graph.FLIP_STEPS))
     assert steps != graph.FLIP_STEPS
     monkeypatch.setattr(graph, "FLIP_STEPS", steps)
     assert construction_differs_from_the_flip_scan() is not None
+    assert updown_difference(flip_steps_gf).num != {}
+    # a change in the down field alone is invisible at u := 0, d := 1, and
+    # leaves the maximal vertices as they are
+    assert (maximal_difference(flip_steps_gf).num != {}) == up_changed
+    assert any(
+        graph.maximal_vertices(n) != graph._maximal_by_flip_scan(n) for n in range(1, 13)
+    ) == up_changed
 
 
 def test_degrees_of_labels_other_than_r_n_are_refused():
