@@ -166,7 +166,8 @@ def cmd_poset(args):
         if args.format == "json":
             _emit_json({"n": args.n, "maximal": labels})
         else:
-            sys.stdout.write("".join(label + "\n" for label in labels))
+            labels.append("")  # so the join ends the last label with a newline too
+            sys.stdout.write("\n".join(labels))
         return 0
     if args.action == "mobius":
         if args.bottom is None or args.top is None:

@@ -77,8 +77,7 @@ def encoding_check(n_max=5):
         labels = set()
         ok = True
         detail = ""
-        for v in range(1 << n):
-            word = format(v, "0%db" % n)
+        for word in strings._words(np.arange(1 << n), n):
             res = encode(word)
             if len(res.image) != 3 * n + 1 or not res.image.endswith("00"):
                 ok = False
@@ -131,7 +130,7 @@ def dilation(n, cap=None):
                 "dilation for n=%d needs about %d arc visits, cap is %d" % (n, work, limit)
             )
     g = graph.build(3 * n - 1, cap=cap)
-    words = [format(v, "0%db" % n) for v in range(1 << n)]
+    words = strings._words(np.arange(1 << n), n)
     image = np.array([g.index_of(encode(word).label) for word in words], dtype=np.int64)
     # dist[v, bit] = host distance from image v to image v | 1 << bit; it
     # stays -1 where v has the bit, since then the target is v's own image

@@ -55,6 +55,7 @@ from .strings import (
     _MASKS,
     _rc_levels,
     _require_int,
+    _words,
     fibonacci,
     mask_is_run_constrained,
     mask_to_word,
@@ -67,12 +68,6 @@ def vertex_labels(n):
     """Sorted n-bit label masks of R_n (full strings with the 00 removed)."""
     _require_int(n, least=1)
     return rc_masks(n + 2) >> np.int64(2)
-
-
-def _words(masks, n):
-    """The n-character bit strings of an array of label masks."""
-    fmt = "0%db" % n
-    return [format(m, fmt) for m in masks.tolist()]
 
 
 def _require_label(n, label):
@@ -236,23 +231,33 @@ def _step_table(steps):
     return table
 
 
-def _prepend_flip_words(words, L, r, out):
-    np.add(words, _step_table(FLIP_STEPS)[min(r, 2)].take(words & 7), out=out)
+def _flip_words():
+    """A flip-word column for one label construction: FLIP_STEPS as read now.
 
+    Each string's flip word is up << 8 | down << 3 | z0 + 3f; every row has
+    a >= 0, so an up-0 word's suffixes have up 0.  The table is made at the
+    first letter and the dtype is given by name, so a length that
+    `_rc_levels` refuses touches no numpy.
+    """
+    steps, table = FLIP_STEPS, None
 
-# each string's flip word, up << 8 | down << 3 | z0 + 3f, updated by FLIP_STEPS
-# as read at each letter; every row has a >= 0, so an up-0 word's suffixes have up 0
-_FLIP_WORDS = (np.uint16, _prepend_flip_words)
+    def prepend(words, L, r, out):
+        nonlocal table
+        if table is None:
+            table = _step_table(steps)
+        np.add(words, table[min(r, 2)].take(words & 7), out=out)
+
+    return "uint16", prepend
 
 
 def _labels_and_degrees(n):
     """R_n's sorted labels and their uint8 (up, down) flip degrees, with no scan.
 
     One pass of the label construction carries each string's flip word
-    (`_FLIP_WORDS`).  A label's flips are those of its full string, whose
+    (`_flip_words`).  A label's flips are those of its full string, whose
     trailing 00 no valid flip touches.
     """
-    masks, words = _rc_levels(n + 2, [_MASKS, _FLIP_WORDS])
+    masks, words = _rc_levels(n + 2, [_MASKS, _flip_words()])
     return masks >> np.int64(2), (words >> 8).astype(np.uint8), ((words >> 3) & 31).astype(np.uint8)
 
 
@@ -653,11 +658,12 @@ def maximal_vertices(n, cap=None):
 
     The label construction of `_labels_and_degrees`, keeping at each length
     only the strings whose flip word has up = 0, so it makes no scan and its
-    work grows with its output.  R_n must still fit the streaming cap, as it
-    did for the flip scan.
+    work grows with its output.  The masks become strings in one pass of
+    `strings._words`.  R_n must still fit the streaming cap, as it did for
+    the flip scan.
     """
     _vertex_total(n, cap, streaming=True)
-    masks, _ = _rc_levels(n + 2, [_MASKS, _FLIP_WORDS], keep=lambda outs: outs[1] < 256)
+    masks, _ = _rc_levels(n + 2, [_MASKS, _flip_words()], keep=lambda outs: outs[1] < 256)
     return _words(masks >> np.int64(2), n)
 
 

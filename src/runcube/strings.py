@@ -256,11 +256,32 @@ def _refuse_enumeration(length, cap):
         )
 
 
+def _words(masks, length):
+    """The length-character bit strings of an array of masks, in one numpy pass.
+
+    Each mask's big-endian bytes are unpacked to one ASCII row of digits
+    with a newline, and the whole buffer is decoded once and split, so the
+    str objects are made in C; at length 0 each row is just the newline.
+    Masks must be nonnegative and below 2^length, with length at most 63.
+    """
+    if not len(masks):
+        return []
+    nbytes = (length + 7) // 8
+    bits = np.unpackbits(masks.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - nbytes :], axis=1)
+    lines = np.empty(len(masks) * (length + 1), np.uint8)
+    rows = lines.reshape(-1, length + 1)
+    np.add(bits[:, 8 * nbytes - length :], ord("0"), out=rows[:, :length])
+    rows[:, length] = ord("\n")
+    text = str(lines[:-1], "ascii")
+    del bits, lines, rows  # only the text is held beside the list split from it
+    return text.split("\n")
+
+
 def enumerate_rc(length, cap=None):
-    """All run-constrained strings of a length, in ascending order."""
+    """All run-constrained strings of a length, in ascending order, rendered by `_words`."""
     length = _require_int(length, "length", least=0)
     _refuse_enumeration(length, cap)
-    return [format(m, "0%db" % length) if length else "" for m in rc_masks(length).tolist()]
+    return _words(rc_masks(length), length)
 
 
 @lru_cache(maxsize=None)

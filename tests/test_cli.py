@@ -358,6 +358,11 @@ GRAPH_SHA256 = {
         "a0bfc0301b7bb08bff97f04640d89cbc0941c8519bef8a698d33cc048b284475",
         "5bdeb610aba6a9a2884154548d524806170611fb3941cf5db34deeb5abb0a62a",
     ),
+    16: (
+        "f1b01f712b4acfd20c81645e3c6e407ce4d59b39e0de1b98366bdc3f5f6521f8",
+        "a45fb9082ae5ddef6a16e461dccf1d367780c093a086095c4c58bf7cda9cbc59",
+        "a3142988643f3a384f170aaaca814d581fe4647b92acf20dd8854e821947f3e1",
+    ),
 }
 
 

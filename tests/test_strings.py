@@ -1,6 +1,7 @@
 from itertools import product
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +59,37 @@ def test_enumeration_counts_are_fibonacci():
 def test_enumeration_is_the_run_constrained_subset(length):
     every = ["".join(bits) for bits in product("01", repeat=length)]
     assert strings.enumerate_rc(length) == [w for w in every if brute_is_rc(w)]
+
+
+def format_words(masks, length):
+    """The per-mask `format` rendering that `_words` replaces: the reference."""
+    return [format(m, "0%db" % length) for m in masks.tolist()]
+
+
+@pytest.mark.parametrize("length", range(1, 64))
+def test_words_match_format(length):
+    top = (1 << length) - 1
+    alternating = int("10" * 32, 2) & top
+    fixed = np.array([0, top, alternating, top ^ alternating], dtype=np.int64)
+    drawn = np.random.default_rng(length).integers(0, top, 300, dtype=np.int64, endpoint=True)
+    masks = np.concatenate([fixed, drawn])
+    assert strings._words(masks, length) == format_words(masks, length)
+    assert strings._words(masks[:0], length) == []
+    # a boolean-indexed copy, as the flip-scan oracle passes, and a strided view
+    picked = masks[masks % 3 != 1]
+    assert strings._words(picked, length) == format_words(picked, length)
+    assert strings._words(masks[::3], length) == format_words(masks[::3], length)
+
+
+def test_words_of_length_zero_are_empty():
+    assert strings._words(np.zeros(3, dtype=np.int64), 0) == ["", "", ""]
+    assert strings._words(np.zeros(0, dtype=np.int64), 0) == []
+    assert strings.enumerate_rc(0) == [""]
+
+
+@pytest.mark.parametrize("length", range(1, 21))
+def test_enumeration_matches_format_of_its_masks(length):
+    assert strings.enumerate_rc(length) == format_words(strings.rc_masks(length), length)
 
 
 def test_rc_masks_peak_is_about_twice_its_result():
