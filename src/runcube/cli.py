@@ -20,7 +20,6 @@ import sys
 
 from . import __version__, embedding, enumerators, graph, inversions, poset
 from .errors import RuncubeError
-from .polyseries import render_columns
 
 GF_KINDS = {
     "updown": enumerators.updown_gf,
@@ -89,36 +88,29 @@ def cmd_census(args):
     return 0
 
 
-def _json_terms(cols, coeffs):
-    """MultiPoly.json_terms of graded_terms' columns, as the JSON text of the list."""
-    term = '[[%s], "%%d"]' % ", ".join(["%d"] * len(cols))
-    return "[%s]" % ", ".join(map(term.__mod__, zip(*cols, coeffs)))
-
-
 def cmd_gf(args):
     """Write each coefficient as the quotient recurrence yields it.
 
     A refused order raises before the first byte is written.  The JSON
     document is the one _emit_json would print, written in pieces: the
     header with an empty coefficient list, minus its closing "]}", then
-    each [k, terms] pair, then the closing "]}".  Each coefficient comes
-    as graded_terms' columns and is formatted from them directly:
-    _json_terms writes what json_terms would, and render_columns is the
-    formatter of MultiPoly.render.
+    each [k, terms] pair, then the closing "]}".  RationalGF.formatted
+    writes each coefficient's terms straight from the decoded slots, as
+    the JSON text of json_terms or as render's text.
     """
     gf = GF_KINDS[args.kind]()
-    rows = gf.graded_terms(args.order)
+    rows = gf.formatted(args.order, as_json=args.format == "json")
     out = sys.stdout
     if args.format == "json":
         head = {"schema": 1, "kind": args.kind, "order": args.order,
                 "variables": list(gf.ring.names), "coefficients": []}
         out.write(json.dumps(head, separators=(", ", ": "))[:-2])
-        for k, (cols, coeffs) in enumerate(rows):
-            out.write("%s[%d, %s]" % (", " if k else "", k, _json_terms(cols, coeffs)))
+        for k, terms in enumerate(rows):
+            out.write("%s[%d, %s]" % (", " if k else "", k, terms))
         out.write("]}\n")
     else:
-        for k, (cols, coeffs) in enumerate(rows):
-            out.write("t^%d: %s\n" % (k, render_columns(gf.ring.names, cols, coeffs)))
+        for k, terms in enumerate(rows):
+            out.write("t^%d: %s\n" % (k, terms))
     return 0
 
 

@@ -34,11 +34,17 @@ The recurrence is a stream: it yields the coefficient of t^k as soon as it
 has computed it and keeps only the packed coefficients later steps read,
 so RationalGF.coefficients lets a caller write each coefficient and drop
 it, and RationalGF.expand collects the stream into a list.
-RationalGF.graded_terms yields each coefficient straight from the
-decoded slots, as exponent columns and ints in graded lex order (over two
-or more variables one numpy lexsort, over one the slot order already),
-which `runcube gf` formats without building a MultiPoly, by
-render_columns, the formatter MultiPoly.render calls too.
+RationalGF.formatted yields each coefficient straight from the decoded
+slots as the text json_terms or render would give, without building a
+MultiPoly.  Its writer puts the live slots of a coefficient in graded lex
+order by one argsort of per-slot keys that the layout computes once per
+slot, never once per coefficient (over one variable or none the slot
+order already is that order).  JSON is written from one format piece per
+slot, gathered, joined and filled by a single `%` with the coefficients;
+text goes through render_columns, the formatter MultiPoly.render calls
+too.  The writer's tables cover at most twice the slots up to the
+highest one seen live, so they stay within a constant multiple of the
+packed coefficients the quotient holds.
 Unpacking a value of fewer bits than one slot takes the value itself as
 the coefficient of slot 0.  Otherwise it reads only the slots up to the
 highest nonzero one, adds 2^(w-1) to each and reads their bytes once
@@ -66,8 +72,8 @@ expanded, once.
 """
 
 from collections import deque
-from itertools import repeat
-from operator import add, mul, sub
+from itertools import repeat, starmap
+from operator import add, itemgetter, mul, sub
 
 import numpy as np
 
@@ -210,7 +216,7 @@ def render_columns(names, cols, coeffs):
     """Text like `3 + 2*u*d + u^4` of the terms with exponents cols[i] of names[i].
 
     The terms come in the order given: MultiPoly.render passes sorted_terms'
-    columns and `runcube gf` those of RationalGF.graded_terms.
+    columns and RationalGF.formatted those of each decoded coefficient.
     """
     if not coeffs:
         return "0"
@@ -577,6 +583,20 @@ class _Layout:
         """One numpy array per variable: the exponents of the slots in `live`."""
         return [(live // s) % dim for s, dim in zip(self.strides, self.dims)]
 
+    def graded_keys(self, slots):
+        """Int64 keys ordering the slots in `slots` as sorted_terms orders their monomials.
+
+        A key is the total degree times `block` plus the slot's place in the
+        lex order of the box, which reads the first variable as its most
+        significant digit, so keys compare as (total degree, exponents) do.
+        """
+        total = np.zeros(len(slots), dtype=np.int64)
+        lex = np.zeros(len(slots), dtype=np.int64)
+        for col, dim in zip(self.exponents(slots), self.dims):
+            total += col
+            lex = lex * dim + col
+        return total * self.block + lex
+
     def terms(self, live, coeffs):
         """The term dict of what decode returned."""
         cols = [col.tolist() for col in self.exponents(live)]
@@ -669,13 +689,14 @@ def _divide(num, den, arity, order):
     """
     # out_k = num_k - sum_j den_j * out_(k-j), so with B_k bounding the
     # 1-norm of out_k, B_k = |num_k| + sum_j |den_j| * B_(k-j), and the
-    # degrees of out_k follow the same recurrence with max and +.  The
-    # divisor terms are collected as k reaches them, and the layout the
-    # bounds so far need is checked at every step, so an order too large
-    # for the cap is refused after a few steps, not after all of them.
+    # degrees of out_k follow the same recurrence with max and +, over the
+    # j whose B_(k-j) is nonzero.  The divisor terms are collected as k
+    # reaches them, and the layout the bounds so far need is checked at
+    # every step, so an order too large for the cap is refused after a few
+    # steps, not after all of them.
     divisor = []
     bounds = []
-    degrees = []
+    columns = [[] for _ in range(arity)]  # columns[v][k]: degree of out_k in variable v
     peak = 0
     top = [0] * arity
     for k in range(order + 1):
@@ -684,15 +705,20 @@ def _divide(num, den, arity, order):
             divisor.append((k, terms, _norm(terms), _degrees(terms, arity)))
         terms = num.get(k, {})
         bound = _norm(terms)
-        deg = _degrees(terms, arity)
-        for j, _, dnorm, ddeg in divisor:
-            if bounds[k - j]:
-                bound += dnorm * bounds[k - j]
-                deg = list(map(max, deg, map(add, ddeg, degrees[k - j])))
+        rows = [(k - j, dnorm, ddeg) for j, _, dnorm, ddeg in divisor if bounds[k - j]]
+        for i, dnorm, _ in rows:
+            bound += dnorm * bounds[i]
         bounds.append(bound)
-        degrees.append(deg)
-        peak = max(peak, bound)
-        top = list(map(max, top, deg))
+        for v, deg in enumerate(_degrees(terms, arity)):
+            column = columns[v]
+            for i, _, ddeg in rows:
+                if ddeg[v] + column[i] > deg:
+                    deg = ddeg[v] + column[i]
+            column.append(deg)
+            if deg > top[v]:
+                top[v] = deg
+        if bound > peak:
+            peak = bound
         _refuse_oversized(top, peak, order)
     # the slots start one byte wide; the recurrence widens them as its
     # coefficients grow, never past the width the bounds above allow
@@ -760,19 +786,63 @@ def _recur(layout, limit, num, divisor, order):
         yield live, coeffs
 
 
-def _graded(cols, coeffs):
-    """Exponent lists and coefficients of one decoded coefficient, in graded lex order.
+def _gather(seq, index):
+    """The items of seq at the positions in the nonempty list `index`, as a tuple."""
+    return itemgetter(*index)(seq) if len(index) > 1 else (seq[index[0]],)
 
-    cols holds one numpy exponent array per variable; lexsort's last key
-    is its primary one, so the keys run from the total degree back to the
-    first variable.  Over one variable or none, ascending slots are
-    already in that order, so nothing is sorted.
+
+class _TermWriter:
+    """Writes each (live, coeffs) a layout decodes as MultiPoly text, without the MultiPoly.
+
+    The text is render()'s, or with as_json json.dumps of json_terms(),
+    both in graded lex order.  Over two or more variables one argsort of
+    the slots' keys (_Layout.graded_keys) puts the live slots in that
+    order; over fewer, ascending slots already are in it.  The JSON of
+    slot s is pieces[s], '"], [[e_1, ..., e_n], "%d', which closes the
+    term before it, so a coefficient is its pieces joined and filled by
+    one `%` with its coefficients.  keys and pieces cover the slots below
+    `size`, which doubles within the box whenever a coefficient reaches
+    past it: each slot's entries are computed once, and the tables hold
+    at most twice as many slots as the highest live one seen, so they stay
+    within a constant multiple of the packed coefficient that reached it.
     """
-    if len(cols) > 1 and len(coeffs) > 1:
-        order = np.lexsort(cols[::-1] + [sum(cols)])
-        cols = [col[order] for col in cols]
-        coeffs = [coeffs[i] for i in order.tolist()]
-    return [col.tolist() for col in cols], coeffs
+
+    def __init__(self, layout, names, as_json):
+        self.layout = layout
+        self.names = names
+        self.as_json = as_json
+        self.ranked = len(names) > 1
+        self.size = 0
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.pieces = []
+        self.piece = '"], [[%s], "%%%%d' % ", ".join(["%d"] * len(names))
+
+    def _grow(self, top):
+        """Cover at least the slots below `top`."""
+        new = np.arange(self.size, min(max(top, 2 * self.size), self.layout.block))
+        self.size += len(new)
+        if self.ranked:
+            self.keys = np.concatenate((self.keys, self.layout.graded_keys(new)))
+        if self.as_json:
+            cols = [col.tolist() for col in self.layout.exponents(new)]
+            self.pieces += map(self.piece.__mod__, zip(*cols) if cols else repeat((), len(new)))
+
+    def __call__(self, live, coeffs):
+        if not coeffs:
+            return "[]" if self.as_json else "0"
+        if live[-1] >= self.size:
+            self._grow(live[-1] + 1)
+        if self.ranked:
+            order = self.keys[live].argsort()
+            live = live[order]
+            coeffs = _gather(coeffs, order.tolist())
+        if not self.as_json:
+            cols = [col.tolist() for col in self.layout.exponents(live)]
+            return render_columns(self.names, cols, coeffs)
+        parts = list(_gather(self.pieces, live.tolist()))
+        parts[0] = "[" + parts[0][4:]  # the first piece's '"], ' closes no term
+        parts.append('"]]')
+        return "".join(parts) % tuple(coeffs)
 
 
 def _t_terms(ring, table):
@@ -949,16 +1019,16 @@ class RationalGF:
         layout, stream = self._quotient(order)
         return (MultiPoly(self.ring, layout.terms(*out)) for out in stream)
 
-    def graded_terms(self, order):
-        """Iterator over the coefficients of t^0 .. t^order as (columns, coeffs).
+    def formatted(self, order, as_json=False):
+        """Iterator over the coefficients of t^0 .. t^order as text.
 
-        columns holds one list of exponents per variable and coeffs the
-        ints, both in the graded lex order of sorted_terms: the terms of
-        one coefficient, read straight off the quotient stream, ordered by
-        one numpy lexsort.  It refuses what coefficients() refuses, as early.
+        Each is what MultiPoly.render gives, or with as_json the JSON text
+        of json_terms, written straight from the quotient stream's decoded
+        slots by one _TermWriter, so no MultiPoly is built.  It refuses
+        what coefficients() refuses, as early.
         """
         layout, stream = self._quotient(order)
-        return (_graded(layout.exponents(live), coeffs) for live, coeffs in stream)
+        return starmap(_TermWriter(layout, self.ring.names, as_json), stream)
 
     def expand(self, order):
         """The list of MultiPoly coefficients of t^0 .. t^order."""

@@ -155,16 +155,30 @@ def _box(n, u, v, cap=None):
     inside = np.flatnonzero(((labels & a) == a) & ((labels & ~b) == 0))
     position = np.empty(len(labels), dtype=np.int64)
     position[inside] = np.arange(len(inside))
-    masks, up, down = _reach(n, labels[inside], list(_bits(b & ~a)), position)
+    masks, up, down = _reach(n, labels[inside], _bits(b & ~a), position)
     return masks, up, down, up[0] & down[-1]
 
 
+def _bit_lists(bitsets):
+    """The list of the set bits of each int bitset >= 0, lowest first, all read in one pass.
+
+    Each bitset becomes a row of `width` little-endian bytes; its nonzero
+    bytes are found row by row and unpacked low bit first, so the bits come
+    out grouped by bitset and ascending within each.
+    """
+    width = (max(bitsets, default=0).bit_length() + 7) // 8
+    rows = np.frombuffer(b"".join([x.to_bytes(width, "little") for x in bitsets]), dtype=np.uint8)
+    rows = rows.reshape(len(bitsets), width)
+    r, c = np.nonzero(rows)
+    k, bit = np.nonzero(np.unpackbits(rows[r, c][:, None], axis=1, bitorder="little"))
+    flat = (8 * c[k] + bit).tolist()
+    ends = np.cumsum(np.bincount(r[k], minlength=len(bitsets))).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
 def _bits(x):
-    """Indices of the set bits of x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+    """The list of the set bits of x >= 0, lowest first."""
+    return _bit_lists([x])[0]
 
 
 def _to_label(n, mask):
@@ -199,20 +213,22 @@ def mobius_recursive(n, u, v, cap=None):
     masks, up, down, members = _box(n, u, v, cap)
     if not members:
         return 0
-    return _mobius_from(up, down, 0)[len(masks) - 1]
+    return _mobius_from(up, down, _bits(up[0]))[len(masks) - 1]
 
 
-def _mobius_from(up, down, i):
-    """{j: mu(i, j)} for every bit j of up[i].
+def _mobius_from(up, down, above):
+    """{j: mu(i, j)} for every bit j of up[i], given `above`, the list of those bits.
 
+    i, the lowest of them, comes first, since up[i] holds i and what i reaches.
     The walk climbs, so every z of [i, j] other than j is set before j.
     The z sharing one nonzero mu value share one bitset, so mu(i, j) is
     -sum of value * popcount([i, j] & bitset), one masked popcount per
     value instead of one term per bit of the interval.
     """
+    i = above[0]
     mu = {i: 1}
     by_value = {1: 1 << i}
-    for j in _bits(up[i] ^ (1 << i)):
+    for j in above[1:]:
         interval = up[i] & down[j]
         m = -sum(v * (interval & bits).bit_count() for v, bits in by_value.items())
         mu[j] = m
@@ -223,7 +239,7 @@ def _mobius_from(up, down, i):
 
 def _index_pairs(masks, up):
     """Bit pairs (i, j) with i <= j in the order, by (rank gap, mask i, mask j)."""
-    pairs = [(i, j) for i, above in enumerate(up) for j in _bits(above)]
+    pairs = [(i, j) for i, above in enumerate(_bit_lists(up)) for j in above]
     # built in (a, b) order, so a stable sort on the gap gives (gap, a, b)
     pairs.sort(key=lambda ij: (masks[ij[1]] ^ masks[ij[0]]).bit_count())
     return pairs
@@ -290,7 +306,7 @@ def _interval_entry(report, n, masks, up, down, pairs):
 
 def _mobius_entry(report, n, masks, up, down, pairs):
     """The Mobius closed form's line for R_n."""
-    mus = [_mobius_from(up, down, i) for i in range(len(masks))]
+    mus = [_mobius_from(up, down, above) for above in _bit_lists(up)]
     mismatches = []
     for i, j in pairs:
         a, b = masks[i], masks[j]

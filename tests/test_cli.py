@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from goldens import CLI_SHA256
 from runcube import cli, graph, inversions, poset, strings
-from runcube.polyseries import RationalGF, Ring, render_columns
+from runcube.polyseries import RationalGF, Ring
 
 
 def run(args, capsys):
@@ -202,11 +202,10 @@ def rational_gfs(draw):
 def test_gf_writer_formats_what_json_terms_and_render_give(case):
     gf, order = case
     want = gf.expand(order)
-    rows = list(gf.graded_terms(order))
-    assert [cli._json_terms(*row) for row in rows] == [
+    assert list(gf.formatted(order, as_json=True)) == [
         json.dumps(c.json_terms(), separators=(", ", ": ")) for c in want
     ]
-    assert [render_columns(gf.ring.names, *row) for row in rows] == [c.render() for c in want]
+    assert list(gf.formatted(order)) == [c.render() for c in want]
     # the whole command, written piece by piece, is the whole document
     with mock.patch.dict(cli.GF_KINDS, {"updown": lambda: gf}):
         for fmt in ("json", "text"):
@@ -228,6 +227,43 @@ GF_ORDER_60_SHA256 = {
     "rank": "9b469f7bb536a3cd50574708456c22fb52b4c49be929c8049d67081059b4b74f",
     "maximal": "78adb6a2630bfe5dad42e67ecea4a099266a3347e364a88774b08fa570010d7f",
     "edge": "fc705e1bcd17f23a9499a52a6fa89fd09c2f36837f49879b23e69d63f2548d78",
+}
+# sha256 of `gf --kind K --order O` as (text, JSON) at the orders of the
+# benchmark's series workload, where the slots reach 10 to 44 bytes,
+# recorded with the per-coefficient lexsort writer
+GF_SERIES_SHA256 = {
+    ("updown", 100): (
+        "4a809f0671bd8df2b56061b5724219e78ef1508bda0bef20ef81db831af21ffe",
+        "95308111ab1905b98d755150d209fd5a6a68a712ef320a71ca16f1b44ce12a5c",
+    ),
+    ("degree", 150): (
+        "cac4fe5083b427f7d36081664ea6b91758464768d002e69cf0d4066c4d7cc7c7",
+        "a5d86bd196d8c43ff694ddf7380d65862debb947eddf60b2b4762ccd8b95ac2e",
+    ),
+    ("up", 150): (
+        "006235a6e39b2a7a27c072f098a8516228a3c1a58c4e6f9327632f5604a2ef9e",
+        "025294feaa544b4d1a6b9337c8e7a51446ff64adb5381273e94ee8669dba2734",
+    ),
+    ("down", 150): (
+        "9f594a10f0b4f1ea415e14ec838b394f4b672bb339b7d8547936510a7f82892a",
+        "d1d70e8350bec10942eccc7f594368e0cf662d1d3cd12f0a96ccc3feb818f99a",
+    ),
+    ("cube", 150): (
+        "30a49a4a84ca0924a95805dd0b9f3b033d7da67e8ddf5e02f0ce05c6e519faa0",
+        "c989c704018035cba188b76b63bb1484231adfa6b081c17e67c20a7d382b3b92",
+    ),
+    ("rank", 150): (
+        "4c6111ea3922c8246d762222b2f170993be974ea9a8f35aab8fcc5536cf498b5",
+        "a91592f035cf48bdc59d48da50df096d46e9dc4245c13f22b4f06e50631c50ed",
+    ),
+    ("maximal", 400): (
+        "6e0d674ac0f69ce0198deb05ddc17d02d2fa57656925db53453f64dcc9bc17ac",
+        "24242b657ef143e556ae9f9041aca9cb33a9b22a14448adf94c04be10601c61f",
+    ),
+    ("edge", 400): (
+        "9cb75f56cf063ae41ff91a01fae8f0bbc6cc98ad0f0a6773524f81cf8a84afe9",
+        "59a1fb8c189417d5d7f77e54244f17df55f9b5dde8c9d2472815c46c521df6d2",
+    ),
 }
 # sha256 of `census --n K` as (text, JSON), recorded with the flip-scan census
 CENSUS_SHA256 = {
@@ -375,6 +411,14 @@ def test_gf_json_is_pinned(capsys, kind):
     code, out, _ = run(["gf", "--kind", kind, "--order", "60", "--format", "json"], capsys)
     assert code == 0
     assert sha256(out) == GF_ORDER_60_SHA256[kind]
+
+
+@pytest.mark.parametrize("kind, order", sorted(GF_SERIES_SHA256))
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_gf_is_pinned_at_the_series_orders(capsys, kind, order, fmt):
+    code, out, err = run(["gf", "--kind", kind, "--order", str(order), "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert sha256(out) == GF_SERIES_SHA256[kind, order][fmt == "json"]
 
 
 @pytest.mark.parametrize("k", sorted(CENSUS_SHA256))

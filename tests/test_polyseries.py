@@ -1,5 +1,8 @@
 import copy
+import json
 import tracemalloc
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -614,6 +617,75 @@ def test_one_slot_values_read_without_numpy(monkeypatch, width):
         layout.decode(1 - 2 ** (8 * width))
 
 
+# every box of arity 0 to 4 with each dimension 1 to 4, as per-variable degrees
+WRITER_BOXES = [[]] + [
+    [d % 4 for d in digits]
+    for arity in range(1, 5)
+    for digits in map(lambda n, a=arity: [n // 4 ** v for v in range(a)], range(4 ** arity))
+]
+
+
+def test_graded_keys_order_every_small_box_as_sorted_terms():
+    for degrees in WRITER_BOXES:
+        layout = polyseries._Layout(degrees, 1)
+        ones = [1] * layout.block
+        slots = np.arange(layout.block)
+        poly = MultiPoly(RINGS[len(degrees)], layout.terms(slots, ones))
+        order = slots[np.argsort(layout.graded_keys(slots))]
+        # terms() keeps the order of the slots it is given
+        assert list(layout.terms(order, ones)) == [e for e, _ in poly.sorted_terms()], degrees
+
+
+@st.composite
+def writer_coefficients(draw):
+    """(layout, ring, [(live, coeffs), ...]): decoded coefficients of one box, fed to one writer.
+
+    Each coefficient is a random subset of the box's slots, ascending as
+    decode gives them, the empty one and single slots included, so the
+    writer's tables grow over several calls.
+    """
+    degrees = draw(st.sampled_from(WRITER_BOXES))
+    layout = polyseries._Layout(degrees, 1)
+    coeff = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9).filter(bool),
+                      st.integers(-(2 ** 70), 2 ** 70).filter(bool))
+    subset = st.lists(st.integers(0, layout.block - 1), unique=True, max_size=12).map(sorted)
+    rows = []
+    for live in draw(st.lists(subset, min_size=1, max_size=5)):
+        coeffs = draw(st.lists(coeff, min_size=len(live), max_size=len(live)))
+        rows.append((np.array(live, dtype=np.intp), coeffs))
+    return layout, RINGS[len(degrees)], rows
+
+
+@given(writer_coefficients())
+@settings(max_examples=300, deadline=None)
+def test_term_writer_orders_live_slots_as_sorted_terms(case):
+    layout, ring, rows = case
+    as_json = polyseries._TermWriter(layout, ring.names, True)
+    as_text = polyseries._TermWriter(layout, ring.names, False)
+    seen = 0
+    for live, coeffs in rows:
+        poly = MultiPoly(ring, layout.terms(live, coeffs))
+        assert as_json(live, coeffs) == json.dumps(poly.json_terms(), separators=(", ", ": "))
+        assert as_text(live, coeffs) == poly.render()
+        # the tables reach at most twice past the highest slot seen live
+        seen = max([seen] + [s + 1 for s in live.tolist()])
+        assert len(as_json.pieces) == as_json.size <= 2 * seen
+
+
+@pytest.mark.parametrize("degrees", [[], [0], [0, 0, 0, 0], [3, 3]])
+def test_term_writer_edges(degrees):
+    layout = polyseries._Layout(degrees, 1)
+    ring = RINGS[len(degrees)]
+    as_json = polyseries._TermWriter(layout, ring.names, True)
+    as_text = polyseries._TermWriter(layout, ring.names, False)
+    # an empty coefficient, then slot 0 alone, as decode returns a value that fits it
+    assert (as_json(polyseries._NO_SLOTS, []), as_text(polyseries._NO_SLOTS, [])) == ("[]", "0")
+    zero = (0,) * len(degrees)
+    assert as_json(polyseries._SLOT_0, [-7]) == '[[%s, "-7"]]' % json.dumps(list(zero))
+    assert as_text(polyseries._SLOT_0, [-7]) == "-7"
+    assert as_json.size == 1 and as_json.pieces[0].startswith('"], ')
+
+
 # --- substitution kernel: map_onto, substitute and evaluate_at ----------------
 
 XY = Ring(("x", "y"))
@@ -850,6 +922,16 @@ def test_factored_refusals():
 
 def _need(message):
     return int(str(message).split("layout of ")[1].split(" bytes")[0])
+
+
+def test_bound_recurrence_skips_zero_coefficients_for_the_box():
+    # t^2 x / (1 - x^3 t): out_0 = out_1 = 0, then out_k = x^(3k - 5), so the
+    # box ends at x^10; a zero out_(k-j) must add no degree
+    x = Ring(("x",))
+    gf = RationalGF(x, {2: x.var("x")}, {0: 1, 1: -x.var("x", 3)})
+    layout, stream = gf._quotient(5)
+    assert layout.dims == [11]
+    assert [c for _, c in stream] == [[], [], [1], [1], [1], [1]]
 
 
 def test_series_quotient_cap_fires_inside_the_bound_recurrence(monkeypatch):

@@ -291,7 +291,7 @@ def test_mobius_is_boolean_or_zero():
         masks, up, down = poset._whole(n)
         pairs = poset._index_pairs(masks, up)
         bad = set(poset._violations(masks, up, down, pairs))
-        mus = [poset._mobius_from(up, down, i) for i in range(len(masks))]
+        mus = [poset._mobius_from(up, down, above) for above in poset._bit_lists(up)]
         for i, j in pairs:
             want = 0 if (i, j) in bad else (-1) ** (masks[j] ^ masks[i]).bit_count()
             assert mus[i][j] == want, (n, i, j)
@@ -322,3 +322,21 @@ def test_reach_cap_refuses_before_the_flip_scan(monkeypatch, slack, call, nv):
         with pytest.raises(ResourceLimitError, match="needs about %d bytes" % need):
             call()
         assert scans == []
+
+
+def test_bit_lists_match_the_lowest_bit_loop():
+    def lowest_first(x):
+        out = []
+        while x:
+            low = x & -x
+            out.append(low.bit_length() - 1)
+            x ^= low
+        return out
+
+    rng = np.random.default_rng(5)
+    cases = [0, 1, 2, 255, 256, (1 << 64) - 1, 1 << 6764, (1 << 6765) - 1]
+    cases += [int(rng.integers(0, 1 << 62)) << int(rng.integers(0, 7000)) for _ in range(200)]
+    assert poset._bit_lists(cases) == [lowest_first(x) for x in cases]
+    assert poset._bit_lists(cases[::-1]) == [lowest_first(x) for x in cases[::-1]]
+    assert [poset._bits(x) for x in cases] == [lowest_first(x) for x in cases]
+    assert poset._bit_lists([]) == [] and poset._bit_lists([0, 0]) == [[], []]
